@@ -6,6 +6,14 @@ seen in training, is rejected. Detector votes are weighted by validation
 accuracy and the decision threshold is the largest cut that keeps the
 validation false-positive rate within alpha.
 
+Scoring contract: a row's score is the sum of the weights of the
+detectors that accept it, added one at a time in detector order starting
+from 0.0. One kernel, ``_vote``, computes it for ``classify``,
+``classify_table``, ``EnsembleModel.score`` and ``detector_predict``, and
+gives calibration its per-detector votes. The threshold rho is cut from
+``weights @ votes`` over the validation rows, a BLAS sum that can differ
+from the detector-order sum in the last bit.
+
 Models are immutable once fitted; scoring is reentrant and safe to call
 from multiple threads.
 """
@@ -14,6 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +34,9 @@ from .table import DiscreteTable, validate_attrs
 NORMAL = "normal"
 ANOMALY = "anomaly"
 
+# rows gathered per fancy index in _vote; bounds its peak memory
+_BLOCK_ROWS = 2048
+
 
 @dataclass
 class SubspaceDetector:
@@ -31,11 +44,6 @@ class SubspaceDetector:
     cell_mass: dict[tuple[int, ...], float]
     accepted_cells: set[tuple[int, ...]]
     alpha: float
-
-    def predict(self, row) -> int:
-        """1 if the row's projection falls in the accepted region, else 0."""
-        key = tuple(int(row[a]) for a in self.subspace)
-        return 1 if key in self.accepted_cells else 0
 
 
 def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetector:
@@ -50,26 +58,108 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
         raise ValueError("alpha must be in (0, 1)")
     subspace = validate_attrs(train, subspace)
     n = train.n_rows
-    counts: dict[tuple[int, ...], int] = {}
-    cols = train.codes[:, subspace]
-    for row in cols:
-        key = tuple(int(v) for v in row)
-        counts[key] = counts.get(key, 0) + 1
-    cell_mass = {key: c / n for key, c in counts.items()}
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    needed = (1.0 - alpha) * n
-    accepted: set[tuple[int, ...]] = set()
-    covered = 0
-    for key, c in ranked:
-        if covered >= needed - 1e-9:
-            break
-        accepted.add(key)
-        covered += c
+    # distinct cells in tuple order; a stable sort on -count then ranks them
+    cells, counts = np.unique(train.codes[:, subspace], axis=0, return_counts=True)
+    keys = list(map(tuple, cells.tolist()))
+    cell_mass = {key: c / n for key, c in zip(keys, counts.tolist())}
+    order = np.argsort(-counts, kind="stable")
+    ranked = counts[order]
+    covered_before = np.cumsum(ranked) - ranked
+    n_accepted = int(np.count_nonzero(covered_before < (1.0 - alpha) * n - 1e-9))
+    accepted = {keys[i] for i in order[:n_accepted].tolist()}
     return SubspaceDetector(subspace, cell_mass, accepted, alpha)
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Where each detector's cell sits in a row gathered over all subspaces."""
+
+    attrs: np.ndarray  # every detector's subspace, concatenated in detector order
+    parts: tuple[tuple[int, int, set, float], ...]  # (start, stop, accepted cells, weight)
+    width: int  # codes a row needs
+
+    @classmethod
+    def of(cls, detectors, weights) -> "_Layout":
+        attrs: list[int] = []
+        parts = []
+        for d, w in zip(detectors, weights):
+            start = len(attrs)
+            attrs.extend(d.subspace)
+            # the detector's own set, so cells added to it later still vote
+            parts.append((start, len(attrs), d.accepted_cells, float(w)))
+        return cls(np.array(attrs, dtype=np.intp), tuple(parts), max(attrs) + 1)
+
+
+def _vote(layout: _Layout, codes: np.ndarray) -> list[float]:
+    """Score every row of a 2-D code array; the one place rows meet accepted cells.
+
+    Each row's score adds the weights of the accepting detectors in
+    detector order, starting from 0.0.
+    """
+    if codes.shape[1] < layout.width:
+        raise SchemaError(f"row has {codes.shape[1]} codes, model needs at least {layout.width}")
+    scores = []
+    for lo in range(0, codes.shape[0], _BLOCK_ROWS):
+        for row in codes[lo:lo + _BLOCK_ROWS, layout.attrs].tolist():
+            s = 0.0
+            for start, stop, cells, w in layout.parts:
+                if tuple(row[start:stop]) in cells:
+                    s += w
+            scores.append(s)
+    return scores
+
+
+def _one_row(row) -> np.ndarray:
+    return np.asarray(row, dtype=np.int64).reshape(1, -1)
+
+
 def detector_predict(detector: SubspaceDetector, row) -> int:
-    return detector.predict(row)
+    """1 if the row's projection falls in the accepted region, else 0."""
+    return int(_vote(_Layout.of([detector], [1.0]), _one_row(row))[0])
+
+
+def _require(doc, name: str, kind, where: str):
+    """doc[name], or a SchemaError naming the field if it is missing or not of ``kind``."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise SchemaError(f"{where} has no field '{name}'")
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "a list" if kind is list else "a number"
+        raise SchemaError(f"{where} field '{name}' must be {what}")
+    return value
+
+
+def _only(values, *types) -> bool:
+    return set(map(type, values)) <= set(types)
+
+
+def _code_rows(rows, width: int, what: str) -> list[tuple[int, ...]]:
+    """Cells of a model file as tuples, each checked to hold ``width`` non-negative codes."""
+    if not (_only(rows, list) and set(map(len, rows)) <= {width}
+            and _only(chain.from_iterable(rows), int)
+            and min(chain.from_iterable(rows), default=0) >= 0):
+        raise SchemaError(f"{what} must hold lists of {width} codes")
+    return list(map(tuple, rows))
+
+
+def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
+    where = f"model detector {i}"
+    attrs = _require(d, "attrs", list, where)
+    if not attrs or not _only(attrs, int) or min(attrs) < 0:
+        raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
+    cells = _require(d, "cells", list, where)
+    accepted = _require(d, "accepted", list, where)
+    if not (_only(cells, list) and set(map(len, cells)) <= {2}):
+        raise SchemaError(f"{where} field 'cells' must hold [cell, mass] pairs")
+    keys, masses = zip(*cells) if cells else ((), ())
+    if not _only(masses, int, float):
+        raise SchemaError(f"{where} field 'cells' must hold numeric masses")
+    return SubspaceDetector(
+        subspace=tuple(attrs),
+        cell_mass=dict(zip(_code_rows(keys, len(attrs), f"{where} field 'cells'"), map(float, masses))),
+        accepted_cells=set(_code_rows(accepted, len(attrs), f"{where} field 'accepted'")),
+        alpha=alpha,
+    )
 
 
 @dataclass
@@ -80,8 +170,13 @@ class EnsembleModel:
     alpha: float
     preprocess: PreprocessModel | None = None
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        """Built on the first score and kept; detectors and weights must not change after."""
+        return _Layout.of(self.detectors, self.weights)
+
     def score(self, row) -> float:
-        return float(sum(w * d.predict(row) for w, d in zip(self.weights, self.detectors)))
+        return _vote(self._layout, _one_row(row))[0]
 
     def to_json_dict(self) -> dict:
         dets = []
@@ -107,27 +202,40 @@ class EnsembleModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnsembleModel":
-        detectors = []
-        for d in doc["detectors"]:
-            mass = {tuple(key): float(m) for key, m in d["cells"]}
-            detectors.append(SubspaceDetector(
-                subspace=tuple(d["attrs"]),
-                cell_mass=mass,
-                accepted_cells={tuple(key) for key in d["accepted"]},
-                alpha=float(doc["alpha"]),
-            ))
-        pp = PreprocessModel.from_json_dict(doc["preprocess"]) if "preprocess" in doc else None
+        """Read a model document; a missing or ill-typed field raises SchemaError naming it."""
+        entries = _require(doc, "detectors", list, "model")
+        weights = _require(doc, "weights", list, "model")
+        rho = float(_require(doc, "rho", (int, float), "model"))
+        alpha = float(_require(doc, "alpha", (int, float), "model"))
+        if not entries:
+            raise SchemaError("model field 'detectors' must not be empty")
+        if len(weights) != len(entries):
+            raise SchemaError(f"model field 'weights' has {len(weights)} entries "
+                              f"for {len(entries)} detectors")
+        if not _only(weights, int, float):
+            raise SchemaError("model field 'weights' must hold numbers")
+        detectors = [_detector_from_json(d, i, alpha) for i, d in enumerate(entries)]
+        pp = None
+        if "preprocess" in doc:
+            try:
+                pp = PreprocessModel.from_json_dict(doc["preprocess"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"model field 'preprocess' is malformed: {exc!r}") from exc
         return cls(
             detectors=detectors,
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            rho=float(doc["rho"]),
-            alpha=float(doc["alpha"]),
+            weights=np.asarray(weights, dtype=np.float64),
+            rho=rho,
+            alpha=alpha,
             preprocess=pp,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "EnsembleModel":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"model file is not JSON: {exc}") from exc
+        return cls.from_json_dict(doc)
 
 
 def split_indices(n_rows: int, val_fraction: float, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +278,8 @@ def fit_ensemble(
     val_rows = train.codes[val_idx]
 
     detectors = [fit_detector(fit_part, attrs, alpha) for attrs in attr_sets]
-    votes = np.array([[d.predict(row) for row in val_rows] for d in detectors], dtype=np.float64)
+    # a detector's vote is its score alone with weight 1.0
+    votes = np.array([_vote(_Layout.of([d], [1.0]), val_rows) for d in detectors], dtype=np.float64)
     errors = 1.0 - votes.mean(axis=1)
     raw = 1.0 - errors
     total = raw.sum()
@@ -189,19 +298,12 @@ def fit_ensemble(
 
 def classify(model: EnsembleModel, row) -> tuple[float, str]:
     """Weighted vote for one coded row: (score, "normal" | "anomaly")."""
-    n_attrs = max(max(d.subspace) for d in model.detectors) + 1
-    if len(row) < n_attrs:
-        raise SchemaError(f"row has {len(row)} codes, model needs at least {n_attrs}")
     score = model.score(row)
     return score, (NORMAL if score >= model.rho else ANOMALY)
 
 
 def classify_table(model: EnsembleModel, table: DiscreteTable) -> tuple[np.ndarray, list[str]]:
     """Score every row of a coded table."""
-    scores = np.empty(table.n_rows, dtype=np.float64)
-    labels = []
-    for i, row in enumerate(table.codes):
-        s, label = classify(model, row)
-        scores[i] = s
-        labels.append(label)
-    return scores, labels
+    scores = _vote(model._layout, table.codes)
+    rho = model.rho
+    return np.array(scores, dtype=np.float64), [NORMAL if s >= rho else ANOMALY for s in scores]

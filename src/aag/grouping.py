@@ -86,6 +86,10 @@ class SubspaceSet:
         return cls.from_json_dict(json.loads(text))
 
 
+def _pair_key(a: Attrs, b: Attrs) -> tuple[Attrs, Attrs]:
+    return (a, b) if a <= b else (b, a)
+
+
 class PairCache:
     """Memo of normalized-measure values between attribute sets.
 
@@ -97,7 +101,7 @@ class PairCache:
         self._entries: dict[tuple[Attrs, Attrs], float] = {}
 
     def measure(self, table: DiscreteTable, a: Attrs, b: Attrs, cap: int) -> float:
-        key = (a, b) if a <= b else (b, a)
+        key = _pair_key(a, b)
         value = self._entries.get(key)
         if value is None:
             value = normalized_measure(table, a, b, cap=cap)
@@ -133,10 +137,6 @@ def should_unify(table: DiscreteTable, a, b, t: int) -> bool:
     return tc_union >= v_a * tc_a + v_b * tc_b
 
 
-def _pair_key(a: Attrs, b: Attrs) -> tuple[Attrs, Attrs]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _union(a: Attrs, b: Attrs) -> Attrs:
     return tuple(sorted(set(a) | set(b)))
 
@@ -145,7 +145,6 @@ def run_aag(
     table: DiscreteTable,
     cap: int = 3,
     include_singletons: bool = False,
-    use_cache: bool = True,
 ) -> SubspaceSet:
     """Run the agglomerative grouping on a discrete table.
 
@@ -158,18 +157,15 @@ def run_aag(
     two subspaces, or when a level prunes away every candidate union.
 
     Ties in every argmin break on the lexicographic order of the pair's
-    sorted attribute tuples, so runs are deterministic. With
-    ``use_cache`` off, every measure is recomputed from scratch; the
-    output must not change.
+    sorted attribute tuples, so runs are deterministic. Each pair is
+    measured once, through a ``PairCache`` owned by the run.
     """
     if table.n_attrs < 2:
         raise ValueError("grouping needs at least two attributes")
-    cache = PairCache() if use_cache else None
+    cache = PairCache()
 
     def measure(a: Attrs, b: Attrs) -> float:
-        if cache is not None:
-            return cache.measure(table, a, b, cap)
-        return normalized_measure(table, a, b, cap=cap)
+        return cache.measure(table, a, b, cap)
 
     current: list[Attrs] = [(i,) for i in range(table.n_attrs)]
     t = 1

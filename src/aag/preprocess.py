@@ -87,12 +87,8 @@ def load_csv(
     real number; otherwise it is categorical. Missing markers (defaults:
     empty cell and "?") become NaN / None.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            rows = list(reader)
-    except OSError:
-        raise
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows:
         raise ParseError(f"{path}: empty file")
     if header:

@@ -1,11 +1,15 @@
 """Brute-force reference implementations used only to check the library.
 
 Everything here works over explicit contingency tables built with plain
-dictionaries and math.log2, sharing no code path with the package.
+dictionaries and math.log2, sharing no code path with the package. The
+calibration reference uses numpy only to form the same BLAS sum
+``weights @ votes`` that calibration is defined by.
 """
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def row_tuples(table, attrs):
@@ -111,3 +115,43 @@ def group_rows_by_tuple(table, attrs):
     for r, key in enumerate(row_tuples(table, attrs)):
         blocks.setdefault(key, []).append(r)
     return list(blocks.values())
+
+
+def detector_cells_of(table, attrs, alpha):
+    """Reference detector fit: (cell masses, accepted cells) by dict counting.
+
+    Cells rank by descending count, ties by tuple order, and are taken
+    until their count reaches (1 - alpha) of the rows.
+    """
+    n = table.n_rows
+    counts = counts_of(table, attrs)
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    needed = (1.0 - alpha) * n
+    accepted, covered = set(), 0
+    for key, c in ranked:
+        if covered >= needed - 1e-9:
+            break
+        accepted.add(key)
+        covered += c
+    return {key: c / n for key, c in counts.items()}, accepted
+
+
+def vote_of(detector, row):
+    """1 if the row's projection on the detector's subspace is an accepted cell."""
+    return 1 if tuple(int(row[a]) for a in detector.subspace) in detector.accepted_cells else 0
+
+
+def score_of(detectors, weights, row):
+    """Reference score: sum of weight * vote over the detectors, in their order."""
+    return float(sum(w * vote_of(d, row) for w, d in zip(weights, detectors)))
+
+
+def calibration_of(detectors, val_rows, alpha):
+    """Reference (weights, rho): weights from each detector's validation
+    acceptance rate, rho the alpha-cut of the BLAS sums weights @ votes."""
+    votes = np.array([[vote_of(d, row) for row in val_rows] for d in detectors], dtype=np.float64)
+    raw = 1.0 - (1.0 - votes.mean(axis=1))
+    total = raw.sum()
+    weights = np.full(len(detectors), 1.0 / len(detectors)) if total <= 0.0 else raw / total
+    scores = np.sort(weights @ votes)
+    return weights, float(scores[min(int(np.floor(alpha * scores.size)), scores.size - 1)])

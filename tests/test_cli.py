@@ -89,6 +89,16 @@ class TestTrainAndScore:
                    "--output", tmp_path / "s.csv")
         assert code == 2
 
+    def test_malformed_model_exits_2_naming_field(self, tmp_path, grouped_csv, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"alpha": 0.05}', encoding="utf-8")
+        code = run("score", "--input", grouped_csv, "--model", model_path,
+                   "--output", tmp_path / "s.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'detectors'" in err
+        assert "internal error" not in err
+
 
 class TestBench:
     def test_setting1_rows_and_mean(self, tmp_path, grouped_csv, capsys):

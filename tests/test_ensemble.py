@@ -1,6 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from aag import ensemble
 from aag.ensemble import (
     EnsembleModel,
     SubspaceDetector,
@@ -200,3 +206,118 @@ class TestEnsembleSerialization:
         assert loaded.to_json() == model.to_json()
         for row in t.codes[:10]:
             assert classify(loaded, row) == classify(model, row)
+
+
+class TestModelFileValidation:
+    @staticmethod
+    def doc():
+        t = table_from_rows([[0, 1], [1, 1]] * 6)
+        return fit_ensemble(t, [(0,), (0, 1)], alpha=0.1, seed=0).to_json_dict()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.pop("detectors"), "detectors"),
+        (lambda d: d.update(detectors={}), "detectors"),
+        (lambda d: d.update(detectors=[]), "detectors"),
+        (lambda d: d.pop("weights"), "weights"),
+        (lambda d: d["weights"].append(0.5), "weights"),
+        (lambda d: d.update(weights=["a", 1]), "weights"),
+        (lambda d: d.pop("rho"), "rho"),
+        (lambda d: d.update(rho="high"), "rho"),
+        (lambda d: d.pop("alpha"), "alpha"),
+        (lambda d: d.update(alpha=True), "alpha"),
+        (lambda d: d["detectors"][1].pop("attrs"), "attrs"),
+        (lambda d: d["detectors"][1].update(attrs=[0, "1"]), "attrs"),
+        (lambda d: d["detectors"][1].update(attrs=[]), "attrs"),
+        (lambda d: d["detectors"][1].pop("cells"), "cells"),
+        (lambda d: d["detectors"][1].update(cells=[[[0, 1]]]), "cells"),
+        (lambda d: d["detectors"][1].update(cells=[[[0], 1.0]]), "cells"),
+        (lambda d: d["detectors"][1].update(cells=[[[0, 1], "x"]]), "cells"),
+        (lambda d: d["detectors"][1].pop("accepted"), "accepted"),
+        (lambda d: d["detectors"][1].update(accepted=[[0, 1.5]]), "accepted"),
+        (lambda d: d["detectors"][1].update(accepted=[[0, [1]]]), "accepted"),
+        (lambda d: d["detectors"][1].update(accepted=[[0, -1]]), "accepted"),
+        (lambda d: d["detectors"].__setitem__(0, [0]), "attrs"),
+        (lambda d: d.update(preprocess={"bins": 10}), "preprocess"),
+    ])
+    def test_malformed_field_is_a_schema_error_naming_it(self, edit, field):
+        doc = self.doc()
+        edit(doc)
+        with pytest.raises(SchemaError, match=f"'{field}'"):
+            EnsembleModel.from_json_dict(doc)
+
+    def test_non_object_and_non_json_files_are_schema_errors(self):
+        with pytest.raises(SchemaError, match="'detectors'"):
+            EnsembleModel.from_json("[1, 2]")
+        with pytest.raises(SchemaError, match="not JSON"):
+            EnsembleModel.from_json("{")
+
+    def test_well_formed_document_round_trips(self):
+        doc = self.doc()
+        assert EnsembleModel.from_json_dict(json.loads(json.dumps(doc))).to_json_dict() == doc
+
+
+@st.composite
+def vote_cases(draw):
+    """A fit table, subspaces, alpha and a longer score table, drawn from a seed.
+
+    One subspace spans at least 24 attributes of arity at least 8, so its
+    cell space exceeds 2^63. Half the score rows repeat fit rows; the rest
+    draw codes up to two past each fit arity, so some cells are unseen.
+    Score tables may span several row blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_attrs = draw(st.integers(24, 30))
+    wide = rng.permutation(n_attrs)[:draw(st.integers(24, n_attrs))]
+    arities = rng.integers(1, 5, size=n_attrs)
+    arities[wide] = rng.integers(8, 12, size=wide.size)
+    n_fit = draw(st.integers(10, 80))
+    fit = rng.integers(0, arities, size=(n_fit, n_attrs))
+    subspaces = [tuple(sorted(wide.tolist()))]
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(1, 4))
+        subspaces.append(tuple(sorted(rng.choice(n_attrs, size=size, replace=False).tolist())))
+    alpha = draw(st.floats(0.01, 0.5))
+    n_score = draw(st.integers(1, 60) | st.integers(ensemble._BLOCK_ROWS - 2, ensemble._BLOCK_ROWS + 300))
+    score = rng.integers(0, arities + 2, size=(n_score, n_attrs))
+    copied = rng.random(n_score) < 0.5  # fit rows, which the wide subspace mostly accepts
+    score[copied] = fit[rng.integers(0, n_fit, size=int(copied.sum()))]
+    return DiscreteTable(fit), subspaces, alpha, DiscreteTable(score)
+
+
+class TestVoteKernelAgainstReference:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(vote_cases())
+    def test_fit_detector_matches_dict_counting(self, case):
+        fit, subspaces, alpha, _ = case
+        for attrs in subspaces:
+            d = fit_detector(fit, attrs, alpha)
+            mass, accepted = oracles.detector_cells_of(fit, attrs, alpha)
+            assert d.cell_mass == mass
+            assert d.accepted_cells == accepted
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(vote_cases())
+    def test_calibration_matches_reference_cut(self, case):
+        fit, subspaces, alpha, _ = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        _, val_idx = split_indices(fit.n_rows, 0.3, 4)
+        weights, rho = oracles.calibration_of(model.detectors, fit.codes[val_idx], alpha)
+        assert model.weights.tolist() == weights.tolist()
+        assert model.rho == rho
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(vote_cases())
+    def test_table_scores_match_row_calls_and_reference(self, case):
+        fit, subspaces, alpha, score = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        scores, labels = classify_table(model, score)
+        for i, row in enumerate(score.codes):
+            as_given = row if i % 2 else tuple(int(v) for v in row)
+            want = oracles.score_of(model.detectors, model.weights, row)
+            assert classify(model, as_given) == (scores[i], labels[i])
+            assert scores[i] == want
+            assert labels[i] == ("normal" if want >= model.rho else "anomaly")
+            assert model.score(as_given) == want
+        for d in model.detectors:
+            row = score.codes[0]
+            assert detector_predict(d, row) == oracles.vote_of(d, row)

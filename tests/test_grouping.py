@@ -207,18 +207,12 @@ class TestRunAag:
         assert r1.attr_sets() == r2.attr_sets()
         assert r1.levels == r2.levels
 
-    def test_cache_on_and_off_agree(self):
-        rng = np.random.default_rng(26)
-        for _ in range(3):
-            t = random_table(rng, n_rows=20, n_attrs=5)
-            with_cache = run_aag(t, use_cache=True)
-            without = run_aag(t, use_cache=False)
-            assert with_cache.attr_sets() == without.attr_sets()
-            assert with_cache.levels == without.levels
-
     def test_matches_unmemoized_replay(self):
-        for seed in (31, 32, 33, 34, 35):
-            t = random_table(np.random.default_rng(seed), n_rows=12, n_attrs=5)
+        tables = [random_table(np.random.default_rng(seed), n_rows=12, n_attrs=5)
+                  for seed in (31, 32, 33, 34, 35)]
+        rng = np.random.default_rng(26)
+        tables += [random_table(rng, n_rows=20, n_attrs=5) for _ in range(3)]
+        for t in tables:
             result = run_aag(t)
             want_sets, want_levels = replay_reference(t)
             assert result.attr_sets() == want_sets
