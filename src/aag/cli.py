@@ -31,6 +31,7 @@ INTERNAL_ERROR = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -39,6 +40,20 @@ def _timed(phase: str, fn, *args, **kwargs):
     result = fn(*args, **kwargs)
     log.info("%s: %.3fs", phase, time.perf_counter() - start)
     return result
+
+
+def _checked(convert, ok, rule):
+    """argparse type that converts a flag value and rejects it unless ``ok``."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="missing-value marker (repeatable; default: empty and '?')")
 
     def add_fit_params(p):
-        p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--bins", type=int, default=10)
-        p.add_argument("--cap", type=int, default=3)
+        p.add_argument("--alpha", type=_FRACTION, default=0.05)
+        p.add_argument("--bins", type=_checked(int, lambda v: v >= 2, "at least 2"), default=10)
+        p.add_argument("--cap", type=int, choices=(2, 3), default=3)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--val-fraction", type=float, default=0.3)
+        p.add_argument("--val-fraction", type=_FRACTION, default=0.3)
         p.add_argument("--include-singletons", action="store_true")
 
     p = sub.add_parser("subspaces", help="discover correlated attribute subspaces")

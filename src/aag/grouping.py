@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
-from .measures import normalized_measure, total_correlation
+from .measures import PairCache, _union, normalized_measure, total_correlation  # noqa: F401
 from .table import DiscreteTable
 
 Attrs = tuple[int, ...]
@@ -90,28 +91,6 @@ def _pair_key(a: Attrs, b: Attrs) -> tuple[Attrs, Attrs]:
     return (a, b) if a <= b else (b, a)
 
 
-class PairCache:
-    """Memo of normalized-measure values between attribute sets.
-
-    Lookup is symmetric in the pair. The table is immutable, so entries
-    are never invalidated.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[Attrs, Attrs], float] = {}
-
-    def measure(self, table: DiscreteTable, a: Attrs, b: Attrs, cap: int) -> float:
-        key = _pair_key(a, b)
-        value = self._entries.get(key)
-        if value is None:
-            value = normalized_measure(table, a, b, cap=cap)
-            self._entries[key] = value
-        return value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def should_unify(table: DiscreteTable, a, b, t: int) -> bool:
     """Decide whether unifying two subspaces preserves enough quality.
 
@@ -121,6 +100,10 @@ def should_unify(table: DiscreteTable, a, b, t: int) -> bool:
     each always satisfy that and skip the evaluation, while a part nested
     inside the other can never satisfy it.
     """
+    return _should_unify(lambda attrs: total_correlation(table, attrs), a, b, t)
+
+
+def _should_unify(tc, a, b, t: int) -> bool:
     sa, sb = set(a), set(b)
     if t <= 2:
         return True
@@ -128,17 +111,10 @@ def should_unify(table: DiscreteTable, a, b, t: int) -> bool:
         return True
     if sa <= sb or sb <= sa:
         return False
-    union = tuple(sorted(sa | sb))
+    union = _union(sa, sb)
     v_a = len(sa) / len(union)
     v_b = len(sb) / len(union)
-    tc_union = total_correlation(table, union)
-    tc_a = total_correlation(table, tuple(sorted(sa)))
-    tc_b = total_correlation(table, tuple(sorted(sb)))
-    return tc_union >= v_a * tc_a + v_b * tc_b
-
-
-def _union(a: Attrs, b: Attrs) -> Attrs:
-    return tuple(sorted(set(a) | set(b)))
+    return tc(union) >= v_a * tc(tuple(sorted(sa))) + v_b * tc(tuple(sorted(sb)))
 
 
 def run_aag(
@@ -157,15 +133,16 @@ def run_aag(
     two subspaces, or when a level prunes away every candidate union.
 
     Ties in every argmin break on the lexicographic order of the pair's
-    sorted attribute tuples, so runs are deterministic. Each pair is
-    measured once, through a ``PairCache`` owned by the run.
+    sorted attribute tuples, so runs are deterministic. Pair measures and
+    total correlations come from one ``PairCache`` owned by the run.
     """
     if table.n_attrs < 2:
         raise ValueError("grouping needs at least two attributes")
+    if cap not in (2, 3):
+        raise ValueError("cap must be 2 or 3")
     cache = PairCache()
-
-    def measure(a: Attrs, b: Attrs) -> float:
-        return cache.measure(table, a, b, cap)
+    measure = partial(cache.measure, table, cap=cap)
+    tc = partial(cache.total_correlation, table)
 
     current: list[Attrs] = [(i,) for i in range(table.n_attrs)]
     t = 1
@@ -198,7 +175,7 @@ def run_aag(
         current.remove(a)
         current.remove(b)
         u = _union(a, b)
-        if should_unify(table, a, b, t):
+        if _should_unify(tc, a, b, t):
             if u not in nxt:
                 nxt.append(u)
             merged_any = True
@@ -222,7 +199,7 @@ def run_aag(
                 if a_k in current:
                     current.remove(a_k)
                 u = _union(a_i, a_k)
-                if should_unify(table, a_i, a_k, t):
+                if _should_unify(tc, a_i, a_k, t):
                     if u not in nxt:
                         nxt.append(u)
                     merged_any = True
@@ -233,7 +210,7 @@ def run_aag(
                 # absorb a_i into the next-level subspace a_j
                 current.remove(a_i)
                 u = _union(a_i, a_j)
-                if should_unify(table, a_i, a_j, t):
+                if _should_unify(tc, a_i, a_j, t):
                     if u != a_j:
                         idx = nxt.index(a_j)
                         if u in nxt:

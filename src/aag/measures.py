@@ -27,6 +27,7 @@ see ``multi_attribute_measure``.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -71,40 +72,77 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
 
 
 def joint_entropy(table: DiscreteTable, attrs) -> float:
-    """Entropy of the joint partition over ``attrs``, memoized per table."""
+    """Entropy of the joint partition over ``attrs``, computed afresh."""
     attrs = validate_attrs(table, attrs)
-    memo = table._entropy_memo
-    h = memo.get(attrs)
-    if h is None:
-        _, counts = _joint_inverse(table, attrs)
-        h = _entropy_from_counts(counts, table.n_rows)
-        memo[attrs] = h
-    return h
+    _, counts = _joint_inverse(table, attrs)
+    return _entropy_from_counts(counts, table.n_rows)
+
+
+def _union(a, b) -> tuple[int, ...]:
+    return tuple(sorted(set(a) | set(b)))
+
+
+# Each formula below is written once over an entropy function ``h`` of
+# canonical attribute tuples: fresh joint entropies or PairCache's memo.
+def _rokhlin(h, a, b) -> float:
+    return max(0.0, 2.0 * h(_union(a, b)) - h(a) - h(b))
+
+
+def _interaction(h, attrs) -> float:
+    x, y, z = attrs
+    return h((x,)) + h((y,)) + h((z,)) - h((x, y)) - h((x, z)) - h((y, z)) + h(attrs)
+
+
+def _multi_attribute(h, attrs) -> float:
+    """Exact m of two or three attributes."""
+    if len(attrs) == 2:
+        return _rokhlin(h, attrs[:1], attrs[1:])
+    total = 0.0
+    for i in attrs:
+        total += h(attrs) - h(tuple(a for a in attrs if a != i))
+    return total + _interaction(h, attrs)
+
+
+def _subset_score(h, attrs) -> float | None:
+    """m(attrs)/H(attrs); None when the set carries no information."""
+    h_attrs = h(attrs)
+    return None if h_attrs == 0.0 else _multi_attribute(h, attrs) / h_attrs
+
+
+def _normalized(score, a, b, cap: int) -> float:
+    """nm(a, b) from a subset-score function, with the cap fallback."""
+    union = _union(a, b)
+    set_a, set_b = set(a), set(b)
+    best = None
+    for s in [union] if len(union) <= cap else combinations(union, cap):
+        if not (set_a.isdisjoint(s) or set_b.isdisjoint(s)):
+            value = score(s)
+            if value is not None and (best is None or value < best):
+                best = value
+    return 0.0 if best is None else best
+
+
+def _total_correlation(h, attrs) -> float:
+    return max(0.0, sum(h((a,)) for a in attrs) - h(attrs))
 
 
 def conditional_entropy(table: DiscreteTable, target, given) -> float:
     """H(target | given) = H(target u given) - H(given)."""
     target = validate_attrs(table, target)
     given = validate_attrs(table, given)
-    union = tuple(sorted(set(target) | set(given)))
-    return joint_entropy(table, union) - joint_entropy(table, given)
+    return joint_entropy(table, _union(target, given)) - joint_entropy(table, given)
 
 
 def mutual_information(table: DiscreteTable, a, b) -> float:
     """I(a;b) = H(a) + H(b) - H(a u b)."""
     a = validate_attrs(table, a)
     b = validate_attrs(table, b)
-    union = tuple(sorted(set(a) | set(b)))
-    return joint_entropy(table, a) + joint_entropy(table, b) - joint_entropy(table, union)
+    return joint_entropy(table, a) + joint_entropy(table, b) - joint_entropy(table, _union(a, b))
 
 
 def rokhlin_distance(table: DiscreteTable, a, b) -> float:
     """H(a|b) + H(b|a). Symmetric; zero iff the joint partitions coincide."""
-    a = validate_attrs(table, a)
-    b = validate_attrs(table, b)
-    union = tuple(sorted(set(a) | set(b)))
-    d = 2.0 * joint_entropy(table, union) - joint_entropy(table, a) - joint_entropy(table, b)
-    return max(0.0, d)
+    return _rokhlin(partial(joint_entropy, table), validate_attrs(table, a), validate_attrs(table, b))
 
 
 def interaction_information(table: DiscreteTable, attrs) -> float:
@@ -116,27 +154,9 @@ def interaction_information(table: DiscreteTable, attrs) -> float:
     too refined to estimate, and no caller requires them.
     """
     attrs = validate_attrs(table, attrs)
-    if len(attrs) == 2:
-        return 0.0
-    if len(attrs) != 3:
+    if len(attrs) not in (2, 3):
         raise ValueError(f"interaction information supports 2 or 3 attributes, got {len(attrs)}")
-    x, y, z = attrs
-    h = lambda *s: joint_entropy(table, s)  # noqa: E731
-    return (
-        h(x) + h(y) + h(z)
-        - h(x, y) - h(x, z) - h(y, z)
-        + h(x, y, z)
-    )
-
-
-def _exact_multi_attribute(table: DiscreteTable, attrs: tuple[int, ...]) -> float:
-    if len(attrs) == 2:
-        return rokhlin_distance(table, (attrs[0],), (attrs[1],))
-    total = 0.0
-    for i in attrs:
-        rest = tuple(a for a in attrs if a != i)
-        total += joint_entropy(table, attrs) - joint_entropy(table, rest)
-    return total + interaction_information(table, attrs)
+    return 0.0 if len(attrs) == 2 else _interaction(partial(joint_entropy, table), attrs)
 
 
 def multi_attribute_measure(table: DiscreteTable, attrs, cap: int = 3) -> float:
@@ -161,20 +181,9 @@ def multi_attribute_measure(table: DiscreteTable, attrs, cap: int = 3) -> float:
         raise ValueError("multi-attribute measure needs at least two attributes")
     if cap not in (2, 3):
         raise ValueError("cap must be 2 or 3")
-    if len(attrs) <= cap:
-        return _exact_multi_attribute(table, attrs)
-    return min(_exact_multi_attribute(table, s) for s in combinations(attrs, cap))
-
-
-def _subset_score(table: DiscreteTable, attrs: tuple[int, ...]) -> float | None:
-    """m(attrs)/H(attrs), memoized; None when the set carries no information."""
-    memo = table._subset_score_memo
-    if attrs in memo:
-        return memo[attrs]
-    h = joint_entropy(table, attrs)
-    score = None if h == 0.0 else _exact_multi_attribute(table, attrs) / h
-    memo[attrs] = score
-    return score
+    h = partial(joint_entropy, table)
+    subsets = [attrs] if len(attrs) <= cap else combinations(attrs, cap)
+    return min(_multi_attribute(h, s) for s in subsets)
 
 
 def normalized_measure(table: DiscreteTable, a, b, cap: int = 3) -> float:
@@ -187,43 +196,62 @@ def normalized_measure(table: DiscreteTable, a, b, cap: int = 3) -> float:
     subsets with H(S) = 0 are skipped, and the result is 0 when every
     candidate is degenerate. A union of two single attributes scores in
     [0, 1]; a triple with negative interaction information can score
-    below 0.
+    below 0. Nothing is kept between calls; ``PairCache`` memoizes.
     """
     a = validate_attrs(table, a)
     b = validate_attrs(table, b)
-    union = tuple(sorted(set(a) | set(b)))
-    if len(union) < 2:
+    if len(_union(a, b)) < 2:
         raise ValueError("the union of the two attribute sets needs at least two attributes")
     if cap not in (2, 3):
         raise ValueError("cap must be 2 or 3")
-    if len(union) <= cap:
-        score = _subset_score(table, union)
-        return 0.0 if score is None else score
-    set_a, set_b = set(a), set(b)
-    best = None
-    for s in combinations(union, cap):
-        ss = set(s)
-        if not (ss & set_a) or not (ss & set_b):
-            continue
-        value = _subset_score(table, s)
-        if value is not None and (best is None or value < best):
-            best = value
-    return 0.0 if best is None else best
+    return _normalized(partial(_subset_score, partial(joint_entropy, table)), a, b, cap)
 
 
 def total_correlation(table: DiscreteTable, attrs) -> float:
     """sum_i H(A_i) - H(joint). Non-negative; 0 for a single attribute."""
-    attrs = validate_attrs(table, attrs)
-    tc = sum(joint_entropy(table, (a,)) for a in attrs) - joint_entropy(table, attrs)
-    return max(0.0, tc)
+    return _total_correlation(partial(joint_entropy, table), validate_attrs(table, attrs))
+
+
+class PairCache:
+    """The measure memos of one search over one table: joint entropies,
+    subset scores m(S)/H(S), and pair values keyed by the pair and ``cap``.
+    Nothing is validated: attribute sets must be sorted and duplicate-free,
+    ``cap`` 2 or 3. A cache serves the first table it is given only.
+    """
+
+    def __init__(self):
+        self._table: DiscreteTable | None = None
+        self._pairs: dict[tuple, float] = {}
+
+    def _bind(self, table: DiscreteTable) -> None:
+        if self._table is None:  # the memos close over the table, not self: no cycle
+            self._table = table
+            self._entropy = cache(lambda attrs: joint_entropy(table, attrs))
+            self._score = cache(partial(_subset_score, self._entropy))
+        elif table is not self._table:
+            raise ValueError("a PairCache serves one table")
+
+    def measure(self, table: DiscreteTable, a, b, cap: int) -> float:
+        """``normalized_measure(table, a, b, cap)``, memoized."""
+        self._bind(table)
+        key = (a, b, cap) if a <= b else (b, a, cap)
+        value = self._pairs.get(key)
+        if value is None:
+            value = self._pairs[key] = _normalized(self._score, a, b, cap)
+        return value
+
+    def total_correlation(self, table: DiscreteTable, attrs) -> float:
+        """``total_correlation(table, attrs)`` over the memoized entropies."""
+        self._bind(table)
+        return _total_correlation(self._entropy, attrs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
 
 
 def symmetric_uncertainty(table: DiscreteTable, a: int, b: int) -> float:
     """2 I(a;b) / (H(a) + H(b)), in [0, 1]. Two constant attributes give 0."""
-    a_t = validate_attrs(table, (a,))
-    b_t = validate_attrs(table, (b,))
-    ha = joint_entropy(table, a_t)
-    hb = joint_entropy(table, b_t)
+    ha, hb = joint_entropy(table, (a,)), joint_entropy(table, (b,))
     if ha + hb == 0.0:
         return 0.0
-    return 2.0 * mutual_information(table, a_t, b_t) / (ha + hb)
+    return 2.0 * mutual_information(table, (a,), (b,)) / (ha + hb)

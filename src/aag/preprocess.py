@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,12 @@ class RawTable:
         return RawTable([c for c in self.columns if c is not target])
 
 
-def _parse_number(text: str) -> float | None:
+def _is_number(text: str) -> bool:
     try:
-        value = float(text)
+        float(text)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return False
+    return True
 
 
 def load_csv(
@@ -81,13 +82,17 @@ def load_csv(
     missing_markers=DEFAULT_MISSING,
     header: bool = True,
 ) -> RawTable:
-    """Read a CSV file into typed columns.
+    """Read a UTF-8 CSV file (a byte-order mark is dropped) into typed columns.
 
-    A column is numeric iff every non-missing cell parses as a finite
-    real number; otherwise it is categorical. Missing markers (defaults:
-    empty cell and "?") become NaN / None.
+    A column is numeric iff every non-missing cell parses as a real
+    number; otherwise it is categorical. Missing markers (defaults: empty
+    cell and "?") become NaN / None. In a numeric column the non-finite
+    numbers (``inf``, ``-inf``, ``nan``, or a value too large for a float)
+    count as missing too, so they are imputed with the training mean; in
+    a categorical column they are ordinary symbols. Header names must be
+    distinct: a repeated name raises ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows:
         raise ParseError(f"{path}: empty file")
@@ -97,6 +102,9 @@ def load_csv(
     else:
         names = [f"c{i}" for i in range(len(rows[0]))]
         data_rows = rows
+    repeated = sorted(name for name, k in Counter(names).items() if k > 1)
+    if repeated:
+        raise ParseError(f"{path}: duplicate column name {repeated[0]!r}")
     n_cols = len(names)
     for i, row in enumerate(data_rows):
         if len(row) != n_cols:
@@ -110,11 +118,9 @@ def load_csv(
     for j, name in enumerate(names):
         cells = [row[j].strip() for row in data_rows]
         non_missing = [c for c in cells if c not in missing]
-        numeric = bool(non_missing) and all(_parse_number(c) is not None for c in non_missing)
-        if numeric:
-            values = np.array(
-                [math.nan if c in missing else _parse_number(c) for c in cells], dtype=np.float64
-            )
+        if non_missing and all(_is_number(c) for c in non_missing):
+            values = np.array([math.nan if c in missing else float(c) for c in cells])
+            values[~np.isfinite(values)] = math.nan
             columns.append(RawColumn(name, NUMERIC, values))
         else:
             values = np.array([None if c in missing else c for c in cells], dtype=object)

@@ -39,9 +39,7 @@ class Partition:
 class DiscreteTable:
     """N rows by p attributes of non-negative integer symbol codes.
 
-    Immutable once constructed. Joint entropies are memoized internally,
-    keyed by attribute tuple; concurrent duplicate computation of a key is
-    harmless because every computation yields the same value.
+    Immutable once constructed.
     """
 
     def __init__(self, codes, symbol_names=None):
@@ -65,9 +63,6 @@ class DiscreteTable:
                 if len(names) < self.arities[j]:
                     raise ValueError(f"symbol_names[{j}] shorter than arity {self.arities[j]}")
         self.symbol_names = symbol_names
-        self._entropy_memo: dict[tuple[int, ...], float] = {}
-        # normalized score of small attribute sets; None marks a zero-entropy set
-        self._subset_score_memo: dict[tuple[int, ...], float | None] = {}
 
     @property
     def codes(self) -> np.ndarray:

@@ -164,6 +164,41 @@ class TestUsageErrors:
                    "--alpha", 2.0)
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["subspaces", "train", "bench", "stability"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--cap", 1), ("--cap", 4), ("--alpha", 0), ("--alpha", 1.5), ("--alpha", "nan"),
+        ("--val-fraction", 0), ("--val-fraction", 1), ("--bins", 1), ("--bins", "two"),
+    ])
+    def test_bad_fit_parameter_exits_1_before_reading_input(self, tmp_path, capsys,
+                                                            command, flag, value):
+        extra = ["--class-column", "class", "--setting", 1] if command == "bench" else []
+        code = run(command, "--input", tmp_path / "absent.csv", "--output", tmp_path / "out",
+                   *extra, flag, value)
+        assert code == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+class TestCsvHeaders:
+    def test_duplicate_class_column_exits_2_naming_it(self, tmp_path, grouped_csv, capsys):
+        lines = grouped_csv.read_text(encoding="utf-8").splitlines()
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join(f"{line},{line.split(',')[-1]}" for line in lines) + "\n",
+                           encoding="utf-8")
+        code = run("bench", "--input", doubled, "--output", tmp_path / "b.csv",
+                   "--class-column", "class", "--setting", 1, "--repeats", 1)
+        assert code == 2
+        assert "duplicate column name 'class'" in capsys.readouterr().err
+
+    def test_byte_order_mark_gives_the_same_model(self, tmp_path, grouped_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(grouped_csv.read_text(encoding="utf-8").encode("utf-8-sig"))
+        outputs = []
+        for path in (grouped_csv, bom):
+            out = tmp_path / f"{path.stem}.json"
+            assert run("train", "--input", path, "--output", out, "--seed", 3) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 def test_console_script_round_trip(tmp_path):
     csv_path = tmp_path / "tiny.csv"

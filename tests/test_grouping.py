@@ -149,6 +149,20 @@ def replay_reference(table, cap=3):
 
 
 class TestRunAag:
+    def test_run_leaves_the_table_as_constructed(self):
+        t = random_table(np.random.default_rng(31), n_rows=30, n_attrs=4)
+        fresh = DiscreteTable(t.codes.copy())
+        run_aag(t)
+        state, want = dict(vars(t)), dict(vars(fresh))
+        assert np.array_equal(state.pop("_codes"), want.pop("_codes"))
+        assert state == want
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_cap_outside_two_or_three_raises(self, cap):
+        t = random_table(np.random.default_rng(32), n_rows=20, n_attrs=4)
+        with pytest.raises(ValueError, match="cap"):
+            run_aag(t, cap=cap)
+
     def test_two_identical_attributes_merge(self):
         col = [0, 1, 2, 0, 1]
         t = table_from_columns(col, col)

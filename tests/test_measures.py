@@ -3,8 +3,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aag.measures import (
+    PairCache,
     conditional_entropy,
     entropy,
     induce_partition,
@@ -352,9 +355,64 @@ class TestInvariances:
         queries = [tuple(sorted(rng.choice(5, size=int(rng.integers(1, 4)), replace=False)))
                    for _ in range(60)]
         want = {q: joint_entropy(DiscreteTable(t.codes.copy()), q) for q in set(queries)}
-        # hammer the shared memo from several threads; duplicate computation
-        # of a key is fine, the values must all come out identical
+        # joint_entropy keeps no state, so threads sharing one table must all
+        # get the values a single-threaded fresh table gives
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda q: (q, joint_entropy(t, q)), queries * 5))
         for q, h in results:
             assert h == want[q]
+
+
+@st.composite
+def cache_cases(draw):
+    """A random table and attribute-set pairs with a cap each.
+
+    Columns have arity 1 to 5, so constant columns occur. Pairs may
+    overlap, nest or be disjoint, and their unions may exceed the cap.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_attrs = draw(st.integers(3, 7))
+    arities = draw(st.lists(st.integers(1, 5), min_size=n_attrs, max_size=n_attrs))
+    table = DiscreteTable(rng.integers(0, arities, size=(draw(st.integers(8, 40)), n_attrs)))
+    attrs = st.sets(st.integers(0, n_attrs - 1), min_size=1).map(lambda s: tuple(sorted(s)))
+    pair = st.tuples(attrs, attrs, st.sampled_from((2, 3)))
+    pairs = draw(st.lists(pair.filter(lambda p: len(set(p[0]) | set(p[1])) >= 2),
+                          min_size=1, max_size=8))
+    return table, pairs
+
+
+class TestPairCache:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cache_cases())
+    def test_shared_cache_matches_fresh_measures_and_oracle(self, case):
+        table, pairs = case
+        cache = PairCache()
+        for a, b, cap in pairs:
+            got = cache.measure(table, a, b, cap)
+            assert got == normalized_measure(table, a, b, cap)
+            assert got == pytest.approx(oracles.normalized_measure_of(table, a, b, cap), abs=1e-9)
+            assert cache.measure(table, b, a, cap) == got
+            union = tuple(sorted(set(a) | set(b)))
+            tc = cache.total_correlation(table, union)
+            assert tc == total_correlation(table, union)
+            assert tc == pytest.approx(max(0.0, oracles.total_correlation_of(table, union)),
+                                       abs=1e-9)
+        assert len(cache) == len({(min(a, b), max(a, b), cap) for a, b, cap in pairs})
+
+    def test_pairs_are_keyed_by_cap(self):
+        t = random_table(np.random.default_rng(16), n_rows=30, n_attrs=4)
+        cache = PairCache()
+        by_cap = {cap: cache.measure(t, (0, 1), (2, 3), cap) for cap in (2, 3)}
+        assert by_cap == {cap: normalized_measure(t, (0, 1), (2, 3), cap) for cap in (2, 3)}
+        assert len(cache) == 2
+
+    def test_second_table_raises(self):
+        t = random_table(np.random.default_rng(17), n_rows=30, n_attrs=4)
+        cache = PairCache()
+        cache.measure(t, (0,), (1,), 3)
+        other = DiscreteTable(t.codes.copy())
+        with pytest.raises(ValueError):
+            cache.measure(other, (0,), (1,), 3)
+        with pytest.raises(ValueError):
+            cache.total_correlation(other, (0, 1))
+        assert cache.measure(t, (1,), (0,), 3) == normalized_measure(t, (0,), (1,))

@@ -52,6 +52,33 @@ class TestLoadCsv:
         assert raw.column("a1").kind == NUMERIC
         assert raw.column("a2").kind == CATEGORICAL
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,b\n1,x\n2,y\n".encode("utf-8-sig"))
+        raw = load_csv(path)
+        assert raw.names == ["a", "b"]
+        assert raw.column("a").kind == NUMERIC
+
+    def test_duplicate_header_raises_naming_it(self, tmp_path):
+        with pytest.raises(ParseError, match="duplicate column name 'class'"):
+            load_csv(write(tmp_path, "class,a, class\n1,2,3\n"))
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_numbers_count_as_missing(self, tmp_path, text):
+        raw = load_csv(write(tmp_path, f"x\n1\n{text}\n3\n?\n"))
+        col = raw.column("x")
+        assert col.kind == NUMERIC
+        assert col.values[[0, 2]].tolist() == [1.0, 3.0]
+        assert np.isnan(col.values[[1, 3]]).all()
+        pp = fit_preprocessor(raw, bins=2)
+        assert pp.columns[0].mean == 2.0
+        assert apply_preprocessor(pp, raw).codes[:, 0].tolist() == [0, 0, 1, 0]
+
+    def test_non_finite_text_is_a_symbol_in_a_categorical_column(self, tmp_path):
+        raw = load_csv(write(tmp_path, "c\nR\ninf\nnan\n"))
+        assert raw.column("c").kind == CATEGORICAL
+        assert list(raw.column("c").values) == ["R", "inf", "nan"]
+
     def test_ragged_row_reports_line_number(self, tmp_path):
         with pytest.raises(ParseError, match="row 3"):
             load_csv(write(tmp_path, "a,b\n1,2\n3\n"))
