@@ -23,10 +23,24 @@ Although m is called an information distance, it is not a metric on
 attribute sets. The interaction information it adds is signed, so m and
 nm can be negative, and exact values are not monotone under inclusion;
 see ``multi_attribute_measure``.
+
+Every joint entropy comes from one kernel, ``_joint_entropy``. A set
+whose arities multiply to at most 4 N keys (every pair and triple the
+search scores) is counted with one ``np.bincount`` over the mixed-radix
+key ((c0*r1 + c1)*r2 + c2)... of its codes. A wider set, which only the
+total correlations of large unions reach, is counted by ``np.unique``
+sorts that re-densify the key after each attribute, so no key can
+overflow int64. Both paths list the nonzero block counts in the
+lexicographic order of the code tuples, and log2(k) is read from a table
+of ``np.log2`` values, so ``np.dot`` sees the same operands either way
+and the entropies agree to the bit. A partition with one block has
+entropy exactly 0.0; the formula alone would round it to -4.4e-16 for
+some N.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache, partial
 from itertools import combinations
 
@@ -35,15 +49,49 @@ import numpy as np
 from .table import DiscreteTable, Partition, validate_attrs
 
 
-def _joint_inverse(table: DiscreteTable, attrs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Block ids (sorted-key order) and block sizes of the joint partition."""
-    cur = table.column(attrs[0])
+# A set whose key space holds at most this many keys per row is counted
+# by np.bincount over its mixed-radix key; wider sets fall back to sorting.
+_BINCOUNT_KEYS_PER_ROW = 4
+
+
+def _log2_table(n: int) -> np.ndarray:
+    """log2(k) for k = 0..n; entry 0 is 0.0 and never read."""
+    table = np.zeros(n + 1)
+    np.log2(np.arange(1, n + 1, dtype=np.float64), out=table[1:])
+    return table
+
+
+def _joint_inverse(columns, arities, attrs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Block ids (sorted-key order) and block sizes of the joint partition.
+    ``columns[a]`` holds the codes of attribute ``a``."""
+    cur = columns[attrs[0]]
     for a in attrs[1:]:
-        cur = cur * table.arities[a] + table.column(a)
+        cur = cur * arities[a] + columns[a]
         # re-densify so ids stay < n_rows and products cannot overflow
         _, cur = np.unique(cur, return_inverse=True)
     _, inverse, counts = np.unique(cur, return_inverse=True, return_counts=True)
     return inverse, counts
+
+
+def _key_counts(columns, arities, attrs: tuple[int, ...], size: int) -> np.ndarray:
+    """Row count of every mixed-radix key ((c0*r1 + c1)*r2 + c2)... of
+    ``attrs``, where ``size`` is the product of their arities: the
+    contingency table of ``attrs``, flattened in C order."""
+    key = columns[attrs[0]]
+    for a in attrs[1:]:
+        key = key * arities[a]  # a new array, so adding in place is safe
+        key += columns[a]
+    return np.bincount(key, minlength=size)
+
+
+def _joint_entropy(columns, arities, attrs: tuple[int, ...], log2_table: np.ndarray) -> float:
+    """The entropy kernel: H(attrs) over ``len(log2_table) - 1`` rows."""
+    size = math.prod(arities[a] for a in attrs)
+    if size <= _BINCOUNT_KEYS_PER_ROW * (log2_table.size - 1):
+        counts = _key_counts(columns, arities, attrs, size)
+    else:
+        _, counts = _joint_inverse(columns, arities, attrs)
+    return _entropy_from_counts(counts, log2_table)
 
 
 def induce_partition(table: DiscreteTable, attrs) -> Partition:
@@ -51,7 +99,7 @@ def induce_partition(table: DiscreteTable, attrs) -> Partition:
     on every attribute in ``attrs``. Block ids follow first-occurrence
     row order, so the result is byte-reproducible."""
     attrs = validate_attrs(table, attrs)
-    inverse, counts = _joint_inverse(table, attrs)
+    inverse, counts = _joint_inverse(table.codes.T, table.arities, attrs)
     first_row = np.full(counts.size, table.n_rows, dtype=np.int64)
     np.minimum.at(first_row, inverse, np.arange(table.n_rows))
     order = np.argsort(first_row, kind="stable")
@@ -62,20 +110,23 @@ def induce_partition(table: DiscreteTable, attrs) -> Partition:
 
 def entropy(partition: Partition) -> float:
     """Shannon entropy of a partition, in bits. 0 log 0 counts as 0."""
-    return _entropy_from_counts(partition.block_sizes, partition.n_rows)
+    return _entropy_from_counts(partition.block_sizes, _log2_table(partition.n_rows))
 
 
-def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
-    # log2(n) - sum(c*log2(c))/n is exact (0.0) for the single-block case
-    c = counts[counts > 0].astype(np.float64)
-    return float(np.log2(n) - np.dot(c, np.log2(c)) / n)
+def _entropy_from_counts(counts: np.ndarray, log2_table: np.ndarray) -> float:
+    """H in bits of block counts over N = len(log2_table) - 1 rows."""
+    c = counts[counts > 0]
+    if c.size <= 1:
+        # log2(N) - N log2(N) / N rounds to -4.4e-16 for some N (10, 11, 13, ...)
+        return 0.0
+    n = log2_table.size - 1
+    return float(log2_table[n] - np.dot(c.astype(np.float64), log2_table[c]) / n)
 
 
 def joint_entropy(table: DiscreteTable, attrs) -> float:
     """Entropy of the joint partition over ``attrs``, computed afresh."""
     attrs = validate_attrs(table, attrs)
-    _, counts = _joint_inverse(table, attrs)
-    return _entropy_from_counts(counts, table.n_rows)
+    return _joint_entropy(table.codes.T, table.arities, attrs, _log2_table(table.n_rows))
 
 
 def _union(a, b) -> tuple[int, ...]:
@@ -226,7 +277,10 @@ class PairCache:
     def _bind(self, table: DiscreteTable) -> None:
         if self._table is None:  # the memos close over the table, not self: no cycle
             self._table = table
-            self._entropy = cache(lambda attrs: joint_entropy(table, attrs))
+            columns = np.ascontiguousarray(table.codes.T)
+            log2_table = _log2_table(table.n_rows)
+            self._entropy = cache(
+                lambda attrs: _joint_entropy(columns, table.arities, attrs, log2_table))
             self._score = cache(partial(_subset_score, self._entropy))
         elif table is not self._table:
             raise ValueError("a PairCache serves one table")

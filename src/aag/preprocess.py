@@ -247,26 +247,36 @@ def fit_preprocessor(train: RawTable, bins: int = 10) -> PreprocessModel:
     return PreprocessModel(columns=models, bins=bins)
 
 
+def _typed_as(cm: ColumnModel, col: RawColumn) -> RawColumn:
+    """``col`` as a numeric column of NaNs when the model says numeric and
+    every cell is missing: ``load_csv`` types such a column categorical."""
+    if cm.kind == NUMERIC and col.kind == CATEGORICAL and all(v is None for v in col.values):
+        return RawColumn(col.name, NUMERIC, np.full(col.values.shape[0], math.nan))
+    return col
+
+
 def apply_preprocessor(model: PreprocessModel, data: RawTable) -> DiscreteTable:
     """Impute with training statistics and map values to symbol codes.
 
     Numeric: value <= edge_k selects bin k; above the last edge selects
     the last bin. Categorical symbols unseen at fit time map to the
     reserved unknown code (the slot past the training dictionary) rather
-    than being laundered into the mode.
+    than being laundered into the mode. Column types come from the model:
+    an entirely missing column is imputed whatever type the file gave it.
     """
     if data.n_attrs != len(model.columns):
         raise SchemaError(
             f"expected {len(model.columns)} columns, got {data.n_attrs}"
         )
-    for cm, col in zip(model.columns, data.columns):
+    columns = [_typed_as(cm, col) for cm, col in zip(model.columns, data.columns)]
+    for cm, col in zip(model.columns, columns):
         if cm.name != col.name:
             raise SchemaError(f"column mismatch: expected {cm.name!r}, got {col.name!r}")
         if cm.kind != col.kind:
             raise SchemaError(f"column {col.name!r}: expected {cm.kind} values, got {col.kind}")
     coded = np.empty((data.n_rows, data.n_attrs), dtype=np.int64)
     names = []
-    for j, (cm, col) in enumerate(zip(model.columns, data.columns)):
+    for j, (cm, col) in enumerate(zip(model.columns, columns)):
         if cm.kind == NUMERIC:
             values = col.values.copy()
             values[np.isnan(values)] = cm.mean

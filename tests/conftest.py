@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from aag.table import DiscreteTable
+
+# One profile for every property test: examples are whole searches or
+# model fits, so no per-example deadline; a failure prints its replay blob.
+settings.register_profile(
+    "aag", deadline=None, suppress_health_check=[HealthCheck.too_slow], print_blob=True
+)
+settings.load_profile("aag")
 
 # (criterion name, passed/total, failure summaries) filled by the acceptance suite
 ACCEPTANCE_RESULTS: list[tuple[str, int, int, list[str]]] = []

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from aag.cli import main
@@ -81,6 +82,23 @@ class TestTrainAndScore:
         assert code == 2
         err = capsys.readouterr().err
         assert "a0" in err or "columns" in err
+
+    def test_score_file_with_an_all_missing_numeric_column(self, tmp_path):
+        rng = np.random.default_rng(8)
+        train = tmp_path / "train.csv"
+        train.write_text("a,b,c\n" + "".join(
+            f"{x:.3f},{x + rng.normal(0, 0.1):.3f},{'pq'[i % 2]}\n"
+            for i, x in enumerate(rng.normal(size=60))), encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        assert run("train", "--input", train, "--output", model_path) == 0
+        score_in = tmp_path / "score.csv"
+        score_in.write_text("a,b,c\n0.5,?,p\n-1.0,,q\n", encoding="utf-8")
+        scores_path = tmp_path / "scores.csv"
+        assert run("score", "--input", score_in, "--model", model_path,
+                   "--output", scores_path) == 0
+        lines = scores_path.read_text().splitlines()
+        assert lines[0] == "row_index,score,label"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
     def test_missing_input_exits_2(self, tmp_path, grouped_csv):
         model_path = tmp_path / "model.json"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -285,7 +285,7 @@ def vote_cases(draw):
 
 
 class TestVoteKernelAgainstReference:
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=30)
     @given(vote_cases())
     def test_fit_detector_matches_dict_counting(self, case):
         fit, subspaces, alpha, _ = case
@@ -295,7 +295,7 @@ class TestVoteKernelAgainstReference:
             assert d.cell_mass == mass
             assert d.accepted_cells == accepted
 
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=30)
     @given(vote_cases())
     def test_calibration_matches_reference_cut(self, case):
         fit, subspaces, alpha, _ = case
@@ -305,7 +305,7 @@ class TestVoteKernelAgainstReference:
         assert model.weights.tolist() == weights.tolist()
         assert model.rho == rho
 
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=20)
     @given(vote_cases())
     def test_table_scores_match_row_calls_and_reference(self, case):
         fit, subspaces, alpha, score = case

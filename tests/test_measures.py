@@ -1,11 +1,13 @@
 import math
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aag import measures
 from aag.measures import (
     PairCache,
     conditional_entropy,
@@ -24,6 +26,10 @@ from aag.table import DiscreteTable, table_from_rows
 
 import oracles
 from conftest import random_table, table_from_columns
+
+# Row counts at which log2(N) - N log2(N) / N, the entropy formula applied
+# to a single block of N rows, rounds to -4.4e-16 instead of 0
+ROUNDING_N = (10, 11, 13, 29, 47, 48, 49, 58)
 
 
 class TestInducePartition:
@@ -65,6 +71,14 @@ class TestEntropy:
     def test_constant_column_is_exactly_zero(self):
         t = table_from_rows([[0], [0], [0]])
         assert entropy(induce_partition(t, [0])) == 0.0
+
+    @pytest.mark.parametrize("n_rows", ROUNDING_N)
+    def test_single_block_is_exactly_zero_where_the_formula_rounds(self, n_rows):
+        # a column of arity 2 that uses one code: one block, two keys
+        t = DiscreteTable(np.ones((n_rows, 1), dtype=np.int64))
+        assert entropy(induce_partition(t, [0])) == 0.0
+        assert joint_entropy(t, (0,)) == 0.0
+        assert PairCache().total_correlation(t, (0,)) == 0.0
 
     def test_bounded_by_log_rows(self):
         rng = np.random.default_rng(1)
@@ -256,6 +270,15 @@ class TestNormalizedMeasure:
             value = normalized_measure(t, [0], [1])
             assert -1e-12 <= value <= 1.0 + 1e-12
 
+    def test_constant_subset_is_skipped_at_ten_rows(self):
+        # cap 2: (0, 1) is constant and skipped, (0, 2) scores m/H = 1, and
+        # (1, 2) does not touch the side (0,)
+        t = table_from_columns([0] * 10, [0] * 10, [0, 1] * 5, [0] * 10, [0] * 10)
+        assert t.arities == (1, 1, 2, 1, 1)
+        assert oracles.normalized_measure_of(t, (0,), (0, 1, 2), 2) == 1.0
+        assert normalized_measure(t, (0,), (0, 1, 2), 2) == 1.0
+        assert PairCache().measure(t, (0,), (0, 1, 2), 2) == 1.0
+
     def test_degenerate_union_scores_zero(self):
         t = table_from_rows([[0, 0], [0, 0], [0, 0]])
         assert normalized_measure(t, [0], [1]) == 0.0
@@ -298,6 +321,10 @@ class TestSymmetricUncertainty:
     def test_both_constant_gives_zero(self):
         t = table_from_rows([[0, 0], [0, 0]])
         assert symmetric_uncertainty(t, 0, 1) == 0.0
+
+    def test_both_constant_gives_zero_at_ten_rows(self):
+        t = DiscreteTable(np.zeros((10, 2), dtype=np.int64))
+        assert symmetric_uncertainty(t, 0, 1) == 0.0 == oracles.symmetric_uncertainty_of(t, 0, 1)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(11)
@@ -382,7 +409,7 @@ def cache_cases(draw):
 
 
 class TestPairCache:
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=40)
     @given(cache_cases())
     def test_shared_cache_matches_fresh_measures_and_oracle(self, case):
         table, pairs = case
@@ -416,3 +443,110 @@ class TestPairCache:
         with pytest.raises(ValueError):
             cache.total_correlation(other, (0, 1))
         assert cache.measure(t, (1,), (0,), 3) == normalized_measure(t, (0,), (1,))
+
+
+def sort_path_entropy(table, attrs):
+    """H(attrs) from np.unique's block counts and np.log2 of each count:
+    the reference the counting kernel must reproduce bit for bit."""
+    _, counts = measures._joint_inverse(table.codes.T, table.arities, attrs)
+    if counts.size == 1:
+        return 0.0
+    c = counts.astype(np.float64)
+    return float(np.log2(table.n_rows) - np.dot(c, np.log2(c)) / table.n_rows)
+
+
+def contingency_of(table, attrs):
+    """Dense contingency table of ``attrs`` from the oracle's dict counts."""
+    out = np.zeros([table.arities[a] for a in attrs], dtype=np.int64)
+    for key, count in oracles.counts_of(table, attrs).items():
+        out[key] = count
+    return out
+
+
+@st.composite
+def kernel_tables(draw):
+    """1 to 60 rows (the rounding row counts drawn often) and 1 to 5
+    columns of arity 1 to 7. Codes need not all occur, so a set's key space
+    can exceed its blocks, and its size falls on both sides of 4 N."""
+    n_rows = draw(st.sampled_from(ROUNDING_N) | st.integers(1, 60))
+    n_attrs = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(1, 7), min_size=n_attrs, max_size=n_attrs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DiscreteTable(rng.integers(0, arities, size=(n_rows, n_attrs)))
+
+
+def all_sets(n_attrs):
+    return [s for k in range(1, n_attrs + 1) for s in combinations(range(n_attrs), k)]
+
+
+class TestCountingKernel:
+    @settings(max_examples=60)
+    @given(kernel_tables())
+    def test_joint_entropy_matches_sort_path_and_oracle(self, table):
+        for s in all_sets(table.n_attrs):
+            h = joint_entropy(table, s)
+            assert h == sort_path_entropy(table, s)
+            assert h == pytest.approx(oracles.entropy_of(table, s), abs=1e-9)
+
+    @settings(max_examples=40)
+    @given(kernel_tables(), st.sampled_from((2, 3)))
+    def test_bound_cache_matches_sort_path(self, table, cap):
+        ref = partial(sort_path_entropy, table)
+        cache = PairCache()
+        for s in all_sets(table.n_attrs):
+            assert cache.total_correlation(table, s) == measures._total_correlation(ref, s)
+            for k in range(1, len(s)):
+                a, b = s[:k], s[k - 1:]
+                assert cache.measure(table, a, b, cap) == measures._normalized(
+                    partial(measures._subset_score, ref), a, b, cap)
+
+    @settings(max_examples=40)
+    @given(kernel_tables())
+    def test_key_counts_are_the_contingency_table(self, table):
+        for s in all_sets(table.n_attrs):
+            size = math.prod(table.arities[a] for a in s)
+            counts = measures._key_counts(table.codes.T, table.arities, s, size)
+            assert np.array_equal(counts.reshape(contingency_of(table, s).shape),
+                                  contingency_of(table, s))
+
+    def test_unused_last_key_is_still_counted(self):
+        t = table_from_rows([[0, 1], [1, 0]])
+        assert measures._key_counts(t.codes.T, t.arities, (0, 1), 4).tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("arities, n_rows, path", [
+        ((40,), 10, "bincount"), ((41,), 10, "sort"),
+        ((6, 8), 12, "bincount"), ((7, 7), 12, "sort"),
+        ((2, 4, 5), 10, "bincount"), ((7, 1, 7), 12, "sort"),
+    ])
+    def test_four_keys_per_row_is_the_last_counted_size(self, monkeypatch, arities, n_rows,
+                                                          path):
+        rng = np.random.default_rng(18)
+        codes = rng.integers(0, arities, size=(n_rows, len(arities)))
+        codes[0] = np.asarray(arities) - 1  # every column reaches its arity
+        t = DiscreteTable(codes)
+        assert t.arities == arities
+        used = []
+        for name, label in (("_key_counts", "bincount"), ("_joint_inverse", "sort")):
+            def spy(*args, _original=getattr(measures, name), _label=label):
+                used.append(_label)
+                return _original(*args)
+            monkeypatch.setattr(measures, name, spy)
+        attrs = tuple(range(len(arities)))
+        h = joint_entropy(t, attrs)
+        assert used == [path]
+        monkeypatch.undo()
+        assert h == sort_path_entropy(t, attrs)
+        assert h == pytest.approx(oracles.entropy_of(t, attrs), abs=1e-9)
+
+    def test_wide_union_sorts_instead_of_overflowing_a_key(self):
+        # 70 binary columns: the key space 2**70 has no int64 key
+        rng = np.random.default_rng(19)
+        codes = rng.integers(0, 2, size=(12, 70))
+        codes[0] = 1
+        t = DiscreteTable(codes)
+        attrs = tuple(range(70))
+        h = joint_entropy(t, attrs)
+        assert h == sort_path_entropy(t, attrs)
+        assert h == pytest.approx(oracles.entropy_of(t, attrs), abs=1e-9)
+        assert PairCache().total_correlation(t, attrs) == pytest.approx(
+            max(0.0, oracles.total_correlation_of(t, attrs)), abs=1e-9)

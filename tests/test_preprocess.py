@@ -171,6 +171,15 @@ class TestApplyPreprocessor:
         # mean 6.0 falls in the upper bin
         assert coded.codes[0, 0] == 1
 
+    def test_all_missing_column_takes_the_model_type(self, tmp_path):
+        # load_csv types a column with no present cell as categorical
+        raw = load_csv(write(tmp_path, 'x\n?\n""\n'))
+        assert raw.columns[0].kind == CATEGORICAL
+        model = fit_preprocessor(numeric_table([0.0, 0.0, 10.0, 10.0, 10.0]), bins=2)
+        coded = apply_preprocessor(model, raw)
+        # both rows get the training mean 6.0, the upper bin
+        assert coded.codes[:, 0].tolist() == [1, 1]
+
     def test_self_application_reproduces_fit_occupancy(self):
         rng = np.random.default_rng(41)
         values = rng.normal(size=137)
