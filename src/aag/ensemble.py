@@ -16,6 +16,9 @@ from the detector-order sum in the last bit.
 
 Models are immutable once fitted; scoring is reentrant and safe to call
 from multiple threads.
+
+``model.json`` is one line of compact JSON with sorted keys; indented files
+from earlier versions still load.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -133,31 +135,38 @@ def _only(values, *types) -> bool:
     return set(map(type, values)) <= set(types)
 
 
-def _code_rows(rows, width: int, what: str) -> list[tuple[int, ...]]:
-    """Cells of a model file as tuples, each checked to hold ``width`` non-negative codes."""
-    if not (_only(rows, list) and set(map(len, rows)) <= {width}
-            and _only(chain.from_iterable(rows), int)
-            and min(chain.from_iterable(rows), default=0) >= 0):
+def _code_row(row, width: int, what: str) -> tuple[int, ...]:
+    """One cell of a model file as a tuple, checked to hold ``width`` non-negative codes."""
+    if type(row) is not list or len(row) != width:
         raise SchemaError(f"{what} must hold lists of {width} codes")
-    return list(map(tuple, rows))
+    for code in row:
+        if type(code) is not int or code < 0:
+            raise SchemaError(f"{what} must hold lists of {width} codes")
+    return tuple(row)
 
 
 def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
+    """One detector of a model file, its cells checked in one pass each."""
     where = f"model detector {i}"
     attrs = _require(d, "attrs", list, where)
     if not attrs or not _only(attrs, int) or min(attrs) < 0:
         raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
     cells = _require(d, "cells", list, where)
     accepted = _require(d, "accepted", list, where)
-    if not (_only(cells, list) and set(map(len, cells)) <= {2}):
-        raise SchemaError(f"{where} field 'cells' must hold [cell, mass] pairs")
-    keys, masses = zip(*cells) if cells else ((), ())
-    if not _only(masses, int, float):
-        raise SchemaError(f"{where} field 'cells' must hold numeric masses")
+    width = len(attrs)
+    in_cells, in_accepted = f"{where} field 'cells'", f"{where} field 'accepted'"
+    cell_mass = {}
+    for cell in cells:
+        if type(cell) is not list or len(cell) != 2:
+            raise SchemaError(f"{in_cells} must hold [cell, mass] pairs")
+        key, mass = cell
+        if type(mass) is not float and type(mass) is not int:
+            raise SchemaError(f"{in_cells} must hold numeric masses")
+        cell_mass[_code_row(key, width, in_cells)] = float(mass)
     return SubspaceDetector(
         subspace=tuple(attrs),
-        cell_mass=dict(zip(_code_rows(keys, len(attrs), f"{where} field 'cells'"), map(float, masses))),
-        accepted_cells=set(_code_rows(accepted, len(attrs), f"{where} field 'accepted'")),
+        cell_mass=cell_mass,
+        accepted_cells={_code_row(key, width, in_accepted) for key in accepted},
         alpha=alpha,
     )
 
@@ -198,7 +207,7 @@ class EnsembleModel:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True) + "\n"
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnsembleModel":

@@ -18,6 +18,10 @@ from .table import DiscreteTable
 
 Attrs = tuple[int, ...]
 
+# measures are compared at this many decimals, so values equal in exact
+# arithmetic tie and the lexicographic rule decides
+_TIE_DIGITS = 12
+
 
 def jaccard(a, b) -> float:
     """|a n b| / |a u b| for two attribute index collections."""
@@ -132,9 +136,13 @@ def run_aag(
     rule in ``should_unify``. The loop stops when a level has fewer than
     two subspaces, or when a level prunes away every candidate union.
 
-    Ties in every argmin break on the lexicographic order of the pair's
-    sorted attribute tuples, so runs are deterministic. Pair measures and
-    total correlations come from one ``PairCache`` owned by the run.
+    Measures are compared rounded to 12 decimals, both in every argmin and
+    in the grow-vs-merge test, and ties break on the lexicographic order
+    of the pair's sorted attribute tuples, so runs are deterministic and
+    values equal in exact arithmetic tie whatever their rounding noise.
+    A value within an ulp of a 1e-12 grid boundary can still round either
+    way. Events record the unrounded measures. Pair measures and total
+    correlations come from one ``PairCache`` owned by the run.
     """
     if table.n_attrs < 2:
         raise ValueError("grouping needs at least two attributes")
@@ -169,7 +177,7 @@ def run_aag(
         # seed the next level with the globally closest pair
         best = min(
             ((measure(a, b), _pair_key(a, b)) for i, a in enumerate(current) for b in current[i + 1:]),
-            key=lambda item: (item[0], item[1]),
+            key=lambda item: (round(item[0], _TIE_DIGITS), item[1]),
         )
         d_seed, (a, b) = best
         current.remove(a)
@@ -187,13 +195,13 @@ def run_aag(
         while current and nxt:
             d_grow, (a_i, a_j) = min(
                 ((measure(x, y), (x, y)) for x in current for y in nxt),
-                key=lambda item: (item[0], _pair_key(*item[1])),
+                key=lambda item: (round(item[0], _TIE_DIGITS), _pair_key(*item[1])),
             )
             d_pair, a_k = min(
                 ((measure(x, a_i), x) for x in frozen if x != a_i),
-                key=lambda item: (item[0], item[1]),
+                key=lambda item: (round(item[0], _TIE_DIGITS), item[1]),
             )
-            if d_grow >= d_pair:
+            if round(d_grow, _TIE_DIGITS) >= round(d_pair, _TIE_DIGITS):
                 # unify a_i with its frozen-snapshot partner
                 current.remove(a_i)
                 if a_k in current:

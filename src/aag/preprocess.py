@@ -68,14 +68,6 @@ class RawTable:
         return RawTable([c for c in self.columns if c is not target])
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def load_csv(
     path,
     delimiter: str = ",",
@@ -117,15 +109,29 @@ def load_csv(
     columns = []
     for j, name in enumerate(names):
         cells = [row[j].strip() for row in data_rows]
-        non_missing = [c for c in cells if c not in missing]
-        if non_missing and all(_is_number(c) for c in non_missing):
-            values = np.array([math.nan if c in missing else float(c) for c in cells])
-            values[~np.isfinite(values)] = math.nan
+        values = _numeric_values(cells, missing)
+        if values is not None:
             columns.append(RawColumn(name, NUMERIC, values))
         else:
             values = np.array([None if c in missing else c for c in cells], dtype=object)
             columns.append(RawColumn(name, CATEGORICAL, values))
     return RawTable(columns)
+
+
+def _numeric_values(cells: list[str], missing: set) -> np.ndarray | None:
+    """A column's cells as floats, NaN where missing or non-finite, in one pass.
+
+    None when no cell is present or at the first present cell that is not
+    a number: the column is categorical.
+    """
+    if all(c in missing for c in cells):
+        return None
+    try:
+        values = np.array([math.nan if c in missing else float(c) for c in cells])
+    except ValueError:
+        return None
+    values[~np.isfinite(values)] = math.nan
+    return values
 
 
 @dataclass

@@ -3,9 +3,12 @@
 Everything here works over explicit contingency tables built with plain
 dictionaries and math.log2, sharing no code path with the package. The
 calibration reference uses numpy only to form the same BLAS sum
-``weights @ votes`` that calibration is defined by.
+``weights @ votes`` that calibration is defined by. The CSV reference
+types each column in two passes: a parse check of every present cell,
+then a float of every cell.
 """
 
+import csv
 import math
 from itertools import combinations
 
@@ -155,3 +158,36 @@ def calibration_of(detectors, val_rows, alpha):
     weights = np.full(len(detectors), 1.0 / len(detectors)) if total <= 0.0 else raw / total
     scores = np.sort(weights @ votes)
     return weights, float(scores[min(int(np.floor(alpha * scores.size)), scores.size - 1)])
+
+
+def csv_columns_of(path, missing_markers=("", "?")):
+    """Reference CSV typing: one (kind, values) per column of a headed file.
+
+    A column is numeric iff it has a present cell and every present cell
+    parses as a float; its values are floats with NaN for missing and
+    non-finite cells. Otherwise it is categorical: the stripped text, None
+    for missing.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))[1:]
+    missing = set(missing_markers)
+
+    def is_number(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+    out = []
+    for j in range(len(rows[0])):
+        cells = [row[j].strip() for row in rows]
+        present = [c for c in cells if c not in missing]
+        if present and all(is_number(c) for c in present):
+            values = np.array([math.nan if c in missing else float(c) for c in cells])
+            values[~np.isfinite(values)] = math.nan
+            out.append(("numeric", values))
+        else:
+            out.append(("categorical", np.array([None if c in missing else c for c in cells],
+                                                dtype=object)))
+    return out

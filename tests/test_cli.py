@@ -100,6 +100,21 @@ class TestTrainAndScore:
         assert lines[0] == "row_index,score,label"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
+    def test_indented_model_from_an_earlier_version_scores_the_same(self, tmp_path, grouped_csv):
+        model_path = tmp_path / "model.json"
+        assert run("train", "--input", grouped_csv, "--output", model_path) == 0
+        text = model_path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
+        outputs = []
+        for path in (model_path, indented):
+            out = tmp_path / f"scores-{path.stem}.csv"
+            assert run("score", "--input", grouped_csv, "--model", path, "--output", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_input_exits_2(self, tmp_path, grouped_csv):
         model_path = tmp_path / "model.json"
         run("train", "--input", grouped_csv, "--output", model_path)

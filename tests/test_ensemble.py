@@ -207,6 +207,19 @@ class TestEnsembleSerialization:
         for row in t.codes[:10]:
             assert classify(loaded, row) == classify(model, row)
 
+    def test_model_file_is_one_line_of_compact_sorted_json(self):
+        t = random_table(np.random.default_rng(56), n_rows=50, n_attrs=3)
+        model = fit_ensemble(t, [(0, 1), (1, 2)], alpha=0.05, seed=2)
+        text = model.to_json()
+        assert text == json.dumps(model.to_json_dict(), separators=(",", ":"), sort_keys=True) + "\n"
+        assert text.count("\n") == 1
+
+    def test_indented_file_from_an_earlier_version_loads(self):
+        t = random_table(np.random.default_rng(57), n_rows=50, n_attrs=3)
+        doc = fit_ensemble(t, [(0, 1), (2,)], alpha=0.05, seed=2).to_json_dict()
+        indented = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert EnsembleModel.from_json(indented).to_json_dict() == doc
+
 
 class TestModelFileValidation:
     @staticmethod
@@ -321,3 +334,18 @@ class TestVoteKernelAgainstReference:
         for d in model.detectors:
             row = score.codes[0]
             assert detector_predict(d, row) == oracles.vote_of(d, row)
+
+    @settings(max_examples=20)
+    @given(vote_cases())
+    def test_model_read_back_from_its_file_scores_bit_for_bit(self, case):
+        fit, subspaces, alpha, score = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        loaded = EnsembleModel.from_json(model.to_json())
+        assert loaded.rho == model.rho
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        scores, labels = classify_table(model, score)
+        loaded_scores, loaded_labels = classify_table(loaded, score)
+        assert loaded_scores.tobytes() == scores.tobytes()
+        assert loaded_labels == labels
+        for i, row in enumerate(score.codes[:60]):
+            assert classify(loaded, row) == (scores[i], labels[i])

@@ -1,6 +1,13 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from aag.errors import ParseError, SchemaError, UnusableColumnError
 from aag.preprocess import (
     CATEGORICAL,
@@ -100,6 +107,58 @@ class TestLoadCsv:
         raw = load_csv(write(tmp_path, 'c,x\n"a,b",1\nplain,2\n'))
         assert list(raw.column("c").values) == ["a,b", "plain"]
         assert raw.column("x").values.tolist() == [1.0, 2.0]
+
+
+# spellings that float() reads in surprising ways, or almost reads
+NUMBER_LIKE = ["1_000", " inf", "nan", "NaN", "-nan", "1e999", "-1e999", "1e-400", "-0",
+               "+1.5", " 2 ", "Infinity", "-inf", "\u0663", "0", "1.5e3"]
+NOT_QUITE = ["0x1", "1__0", "_1", "1_", "1e", ".", "-", "1,5", "abc", "infinit", "n a n"]
+MARKERS = ["", "?", "NA", "  "]
+
+
+@st.composite
+def csv_columns(draw):
+    """A header and 1-30 rows of odd cells; some columns draw only number-like cells."""
+    n_rows = draw(st.integers(1, 30))
+    number_like = (st.sampled_from(NUMBER_LIKE + MARKERS)
+                   | st.floats().map(repr) | st.integers(-10**20, 10**20).map(str))
+    anything = (number_like | st.sampled_from(NOT_QUITE)
+                | st.text(alphabet=" 0123456789.e+-_xinfa?,\"", max_size=6))
+    columns = [draw(st.lists(number_like if numeric else anything, min_size=n_rows, max_size=n_rows))
+               for numeric in draw(st.lists(st.booleans(), min_size=1, max_size=5))]
+    markers = draw(st.sampled_from([("", "?"), ("NA",), ("", "?", "nan", "-")]))
+    return columns, markers
+
+
+class TestOnePassTyping:
+    @given(csv_columns())
+    def test_kinds_and_values_match_the_two_pass_reader(self, case):
+        columns, markers = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"c{j}" for j in range(len(columns))])
+                writer.writerows(zip(*columns))
+            raw = load_csv(path, missing_markers=markers)
+            want = oracles.csv_columns_of(path, missing_markers=markers)
+        assert [c.kind for c in raw.columns] == [kind for kind, _ in want]
+        for col, (kind, values) in zip(raw.columns, want):
+            if kind == NUMERIC:
+                assert col.values.dtype == np.float64
+                assert col.values.tobytes() == values.tobytes()  # NaN-aware, and -0.0 stays
+            else:
+                assert col.values.tolist() == values.tolist()
+
+    def test_all_missing_column_stays_categorical(self, tmp_path):
+        raw = load_csv(write(tmp_path, "x,y\n?,1\n,2\n"))
+        assert raw.column("x").kind == CATEGORICAL
+        assert raw.column("x").values.tolist() == [None, None]
+
+    def test_first_non_number_makes_the_column_categorical(self, tmp_path):
+        raw = load_csv(write(tmp_path, "x\n1_000\n-0\n0x1\n?\n"))
+        assert raw.column("x").kind == CATEGORICAL
+        assert raw.column("x").values.tolist() == ["1_000", "-0", "0x1", None]
 
 
 class TestFitPreprocessor:
