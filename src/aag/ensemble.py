@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .preprocess import PreprocessModel
-from .table import DiscreteTable, validate_attrs
+from .table import _KEYS_PER_ROW, DiscreteTable, _joint_key, validate_attrs
 
 NORMAL = "normal"
 ANOMALY = "anomaly"
@@ -51,7 +51,9 @@ class SubspaceDetector:
 def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetector:
     """Build the minimum-volume cell set for one subspace.
 
-    Cells are ranked by descending training mass (ties by tuple order)
+    Cells are counted by ``np.unique`` over the joint key of the subspace
+    (``table._joint_key``) and read from their first rows, in tuple order.
+    They are ranked by descending training mass (ties by tuple order)
     and accumulated until the mass reaches 1 - alpha; that prefix is the
     smallest acceptance region with type-I error at most alpha on the
     training distribution.
@@ -60,8 +62,10 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
         raise ValueError("alpha must be in (0, 1)")
     subspace = validate_attrs(train, subspace)
     n = train.n_rows
-    # distinct cells in tuple order; a stable sort on -count then ranks them
-    cells, counts = np.unique(train.codes[:, subspace], axis=0, return_counts=True)
+    # a stable sort on -count ranks the cells
+    key, _ = _joint_key(train.codes.T, train.arities, subspace, _KEYS_PER_ROW * n)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    cells = train.codes[first[:, None], subspace]
     keys = list(map(tuple, cells.tolist()))
     cell_mass = {key: c / n for key, c in zip(keys, counts.tolist())}
     order = np.argsort(-counts, kind="stable")

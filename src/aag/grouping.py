@@ -18,9 +18,10 @@ from .table import DiscreteTable
 
 Attrs = tuple[int, ...]
 
-# measures are compared at this many decimals, so values equal in exact
-# arithmetic tie and the lexicographic rule decides
-_TIE_DIGITS = 12
+def _tie_key(measure: float, *tiebreak) -> tuple:
+    """How the search compares a measure: at 12 decimals, so values equal
+    in exact arithmetic tie and ``tiebreak`` decides."""
+    return (round(measure, 12), *tiebreak)
 
 
 def jaccard(a, b) -> float:
@@ -177,7 +178,7 @@ def run_aag(
         # seed the next level with the globally closest pair
         best = min(
             ((measure(a, b), _pair_key(a, b)) for i, a in enumerate(current) for b in current[i + 1:]),
-            key=lambda item: (round(item[0], _TIE_DIGITS), item[1]),
+            key=lambda item: _tie_key(*item),
         )
         d_seed, (a, b) = best
         current.remove(a)
@@ -195,13 +196,13 @@ def run_aag(
         while current and nxt:
             d_grow, (a_i, a_j) = min(
                 ((measure(x, y), (x, y)) for x in current for y in nxt),
-                key=lambda item: (round(item[0], _TIE_DIGITS), _pair_key(*item[1])),
+                key=lambda item: _tie_key(item[0], _pair_key(*item[1])),
             )
             d_pair, a_k = min(
                 ((measure(x, a_i), x) for x in frozen if x != a_i),
-                key=lambda item: (round(item[0], _TIE_DIGITS), item[1]),
+                key=lambda item: _tie_key(*item),
             )
-            if round(d_grow, _TIE_DIGITS) >= round(d_pair, _TIE_DIGITS):
+            if _tie_key(d_grow) >= _tie_key(d_pair):
                 # unify a_i with its frozen-snapshot partner
                 current.remove(a_i)
                 if a_k in current:

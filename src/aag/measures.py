@@ -24,34 +24,26 @@ attribute sets. The interaction information it adds is signed, so m and
 nm can be negative, and exact values are not monotone under inclusion;
 see ``multi_attribute_measure``.
 
-Every joint entropy comes from one kernel, ``_joint_entropy``. A set
-whose arities multiply to at most 4 N keys (every pair and triple the
-search scores) is counted with one ``np.bincount`` over the mixed-radix
-key ((c0*r1 + c1)*r2 + c2)... of its codes. A wider set, which only the
-total correlations of large unions reach, is counted by ``np.unique``
-sorts that re-densify the key after each attribute, so no key can
-overflow int64. Both paths list the nonzero block counts in the
-lexicographic order of the code tuples, and log2(k) is read from a table
-of ``np.log2`` values, so ``np.dot`` sees the same operands either way
-and the entropies agree to the bit. A partition with one block has
-entropy exactly 0.0; the formula alone would round it to -4.4e-16 for
-some N.
+Every joint entropy comes from one kernel, ``_joint_entropy``. It counts
+the blocks of a joint partition with one ``np.bincount`` over the
+attribute set's key from ``table._joint_key``: the mixed-radix number
+((c0*r1 + c1)*r2 + c2)... of the codes, renumbered densely by
+``np.unique`` whenever its key space passes 4 keys per row. The key sorts
+as the code tuples do, so the nonzero counts come in lexicographic tuple
+order for every set, however often it was renumbered, and log2(k) is read
+from a table of ``np.log2`` values. ``induce_partition`` and detector
+fitting count the same key. A partition with one block has entropy
+exactly 0.0; the formula alone would round it to -4.4e-16 for some N.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
 
-from .table import DiscreteTable, Partition, validate_attrs
-
-
-# A set whose key space holds at most this many keys per row is counted
-# by np.bincount over its mixed-radix key; wider sets fall back to sorting.
-_BINCOUNT_KEYS_PER_ROW = 4
+from .table import _KEYS_PER_ROW, DiscreteTable, Partition, _joint_key, validate_attrs
 
 
 def _log2_table(n: int) -> np.ndarray:
@@ -61,37 +53,10 @@ def _log2_table(n: int) -> np.ndarray:
     return table
 
 
-def _joint_inverse(columns, arities, attrs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Block ids (sorted-key order) and block sizes of the joint partition.
-    ``columns[a]`` holds the codes of attribute ``a``."""
-    cur = columns[attrs[0]]
-    for a in attrs[1:]:
-        cur = cur * arities[a] + columns[a]
-        # re-densify so ids stay < n_rows and products cannot overflow
-        _, cur = np.unique(cur, return_inverse=True)
-    _, inverse, counts = np.unique(cur, return_inverse=True, return_counts=True)
-    return inverse, counts
-
-
-def _key_counts(columns, arities, attrs: tuple[int, ...], size: int) -> np.ndarray:
-    """Row count of every mixed-radix key ((c0*r1 + c1)*r2 + c2)... of
-    ``attrs``, where ``size`` is the product of their arities: the
-    contingency table of ``attrs``, flattened in C order."""
-    key = columns[attrs[0]]
-    for a in attrs[1:]:
-        key = key * arities[a]  # a new array, so adding in place is safe
-        key += columns[a]
-    return np.bincount(key, minlength=size)
-
-
 def _joint_entropy(columns, arities, attrs: tuple[int, ...], log2_table: np.ndarray) -> float:
     """The entropy kernel: H(attrs) over ``len(log2_table) - 1`` rows."""
-    size = math.prod(arities[a] for a in attrs)
-    if size <= _BINCOUNT_KEYS_PER_ROW * (log2_table.size - 1):
-        counts = _key_counts(columns, arities, attrs, size)
-    else:
-        _, counts = _joint_inverse(columns, arities, attrs)
-    return _entropy_from_counts(counts, log2_table)
+    key, size = _joint_key(columns, arities, attrs, _KEYS_PER_ROW * (log2_table.size - 1))
+    return _entropy_from_counts(np.bincount(key, minlength=size), log2_table)
 
 
 def induce_partition(table: DiscreteTable, attrs) -> Partition:
@@ -99,12 +64,11 @@ def induce_partition(table: DiscreteTable, attrs) -> Partition:
     on every attribute in ``attrs``. Block ids follow first-occurrence
     row order, so the result is byte-reproducible."""
     attrs = validate_attrs(table, attrs)
-    inverse, counts = _joint_inverse(table.codes.T, table.arities, attrs)
-    first_row = np.full(counts.size, table.n_rows, dtype=np.int64)
-    np.minimum.at(first_row, inverse, np.arange(table.n_rows))
-    order = np.argsort(first_row, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
+    key, _ = _joint_key(table.codes.T, table.arities, attrs, _KEYS_PER_ROW * table.n_rows)
+    _, first_row, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first_row)
+    rank = np.argsort(order)  # the inverse permutation
     return Partition(block_of=rank[inverse], block_sizes=counts[order], n_rows=table.n_rows)
 
 
@@ -129,12 +93,18 @@ def joint_entropy(table: DiscreteTable, attrs) -> float:
     return _joint_entropy(table.codes.T, table.arities, attrs, _log2_table(table.n_rows))
 
 
+def _entropies(table: DiscreteTable):
+    """Memoized H of ``table``'s canonical attribute tuples; closes over the table only."""
+    columns, log2_table = np.ascontiguousarray(table.codes.T), _log2_table(table.n_rows)
+    return cache(lambda attrs: _joint_entropy(columns, table.arities, attrs, log2_table))
+
+
 def _union(a, b) -> tuple[int, ...]:
     return tuple(sorted(set(a) | set(b)))
 
 
 # Each formula below is written once over an entropy function ``h`` of
-# canonical attribute tuples: fresh joint entropies or PairCache's memo.
+# canonical attribute tuples, the memo of ``_entropies``.
 def _rokhlin(h, a, b) -> float:
     return max(0.0, 2.0 * h(_union(a, b)) - h(a) - h(b))
 
@@ -179,21 +149,20 @@ def _total_correlation(h, attrs) -> float:
 
 def conditional_entropy(table: DiscreteTable, target, given) -> float:
     """H(target | given) = H(target u given) - H(given)."""
-    target = validate_attrs(table, target)
-    given = validate_attrs(table, given)
-    return joint_entropy(table, _union(target, given)) - joint_entropy(table, given)
+    target, given = validate_attrs(table, target), validate_attrs(table, given)
+    h = _entropies(table)
+    return h(_union(target, given)) - h(given)
 
 
 def mutual_information(table: DiscreteTable, a, b) -> float:
     """I(a;b) = H(a) + H(b) - H(a u b)."""
-    a = validate_attrs(table, a)
-    b = validate_attrs(table, b)
-    return joint_entropy(table, a) + joint_entropy(table, b) - joint_entropy(table, _union(a, b))
+    h, a, b = _entropies(table), validate_attrs(table, a), validate_attrs(table, b)
+    return h(a) + h(b) - h(_union(a, b))
 
 
 def rokhlin_distance(table: DiscreteTable, a, b) -> float:
     """H(a|b) + H(b|a). Symmetric; zero iff the joint partitions coincide."""
-    return _rokhlin(partial(joint_entropy, table), validate_attrs(table, a), validate_attrs(table, b))
+    return _rokhlin(_entropies(table), validate_attrs(table, a), validate_attrs(table, b))
 
 
 def interaction_information(table: DiscreteTable, attrs) -> float:
@@ -207,7 +176,7 @@ def interaction_information(table: DiscreteTable, attrs) -> float:
     attrs = validate_attrs(table, attrs)
     if len(attrs) not in (2, 3):
         raise ValueError(f"interaction information supports 2 or 3 attributes, got {len(attrs)}")
-    return 0.0 if len(attrs) == 2 else _interaction(partial(joint_entropy, table), attrs)
+    return 0.0 if len(attrs) == 2 else _interaction(_entropies(table), attrs)
 
 
 def multi_attribute_measure(table: DiscreteTable, attrs, cap: int = 3) -> float:
@@ -232,7 +201,7 @@ def multi_attribute_measure(table: DiscreteTable, attrs, cap: int = 3) -> float:
         raise ValueError("multi-attribute measure needs at least two attributes")
     if cap not in (2, 3):
         raise ValueError("cap must be 2 or 3")
-    h = partial(joint_entropy, table)
+    h = _entropies(table)
     subsets = [attrs] if len(attrs) <= cap else combinations(attrs, cap)
     return min(_multi_attribute(h, s) for s in subsets)
 
@@ -255,12 +224,12 @@ def normalized_measure(table: DiscreteTable, a, b, cap: int = 3) -> float:
         raise ValueError("the union of the two attribute sets needs at least two attributes")
     if cap not in (2, 3):
         raise ValueError("cap must be 2 or 3")
-    return _normalized(partial(_subset_score, partial(joint_entropy, table)), a, b, cap)
+    return _normalized(partial(_subset_score, _entropies(table)), a, b, cap)
 
 
 def total_correlation(table: DiscreteTable, attrs) -> float:
     """sum_i H(A_i) - H(joint). Non-negative; 0 for a single attribute."""
-    return _total_correlation(partial(joint_entropy, table), validate_attrs(table, attrs))
+    return _total_correlation(_entropies(table), validate_attrs(table, attrs))
 
 
 class PairCache:
@@ -275,12 +244,9 @@ class PairCache:
         self._pairs: dict[tuple, float] = {}
 
     def _bind(self, table: DiscreteTable) -> None:
-        if self._table is None:  # the memos close over the table, not self: no cycle
+        if self._table is None:
             self._table = table
-            columns = np.ascontiguousarray(table.codes.T)
-            log2_table = _log2_table(table.n_rows)
-            self._entropy = cache(
-                lambda attrs: _joint_entropy(columns, table.arities, attrs, log2_table))
+            self._entropy = _entropies(table)
             self._score = cache(partial(_subset_score, self._entropy))
         elif table is not self._table:
             raise ValueError("a PairCache serves one table")
@@ -305,7 +271,6 @@ class PairCache:
 
 def symmetric_uncertainty(table: DiscreteTable, a: int, b: int) -> float:
     """2 I(a;b) / (H(a) + H(b)), in [0, 1]. Two constant attributes give 0."""
-    ha, hb = joint_entropy(table, (a,)), joint_entropy(table, (b,))
-    if ha + hb == 0.0:
-        return 0.0
-    return 2.0 * mutual_information(table, (a,), (b,)) / (ha + hb)
+    h, a, b = _entropies(table), validate_attrs(table, (a,)), validate_attrs(table, (b,))
+    ha, hb = h(a), h(b)
+    return 0.0 if ha + hb == 0.0 else 2.0 * (ha + hb - h(_union(a, b))) / (ha + hb)

@@ -79,6 +79,35 @@ class DiscreteTable:
         return f"DiscreteTable(n_rows={self.n_rows}, n_attrs={self.n_attrs}, arities={self.arities})"
 
 
+# the key-space budget of a joint key, in keys per row
+_KEYS_PER_ROW = 4
+
+
+def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` renumbered 0..k-1 in sorted order, and k."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return inverse, distinct.size
+
+
+def _joint_key(columns, arities, attrs: tuple[int, ...], budget: int) -> tuple[np.ndarray, int]:
+    """The mixed-radix key ((c0*r1 + c1)*r2 + c2)... of each row's codes of
+    ``attrs`` (``columns[a]`` holds attribute ``a``) and its key space size,
+    ``0 <= key < size <= max(budget, n_rows)``. A column or partial key
+    whose key space passes ``budget`` is renumbered densely, in order: keys
+    sort as the code tuples do and cannot overflow int64, and a key never
+    renumbered indexes the flattened contingency table."""
+    key, size = None, 1
+    for a in attrs:
+        column, arity = columns[a], arities[a]
+        if arity > budget:
+            column, arity = _dense(column)
+        key = column if key is None else key * arity + column
+        size *= arity
+        if size > budget:
+            key, size = _dense(key)
+    return key, size
+
+
 def validate_attrs(table: DiscreteTable, attrs) -> tuple[int, ...]:
     """Canonicalize an attribute collection to a sorted duplicate-free tuple.
 

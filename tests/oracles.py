@@ -2,7 +2,9 @@
 
 Everything here works over explicit contingency tables built with plain
 dictionaries and math.log2, sharing no code path with the package. The
-calibration reference uses numpy only to form the same BLAS sum
+sort-path entropy is the exception: a chain of np.unique sorts and
+np.log2 of each count, the bit-for-bit reference of the counting kernel.
+The calibration reference uses numpy only to form the same BLAS sum
 ``weights @ votes`` that calibration is defined by. The CSV reference
 types each column in two passes: a parse check of every present cell,
 then a float of every cell.
@@ -30,6 +32,21 @@ def counts_of(table, attrs):
 def entropy_of(table, attrs):
     n = table.n_rows
     return -sum((c / n) * math.log2(c / n) for c in counts_of(table, attrs).values())
+
+
+def sort_path_entropy(table, attrs):
+    """H(attrs) from np.unique's block counts, in lexicographic tuple
+    order, and np.log2 of each count. Every column and every partial key
+    is renumbered by a sort, so no key overflows."""
+    key = np.zeros(table.n_rows, dtype=np.int64)
+    for a in attrs:
+        values, column = np.unique(table.codes[:, a], return_inverse=True)
+        _, key = np.unique(key * values.size + column, return_inverse=True)
+    _, counts = np.unique(key, return_counts=True)
+    if counts.size == 1:
+        return 0.0
+    c = counts.astype(np.float64)
+    return float(np.log2(table.n_rows) - np.dot(c, np.log2(c)) / table.n_rows)
 
 
 def conditional_entropy_of(table, target, given):

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aag
 from aag.cli import main
 
 from synth import grouped_csv_text, two_class_csv_text
@@ -238,10 +241,14 @@ def test_console_script_round_trip(tmp_path):
     csv_path.write_text(grouped_csv_text(n_rows=80, group_sizes=(2, 2), seed=1),
                         encoding="utf-8")
     out = tmp_path / "subspaces.json"
+    # the child imports the same aag as this process, installed or not
+    src = str(Path(aag.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "aag.cli", "subspaces", "--input", str(csv_path),
          "--output", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["subspaces"]

@@ -1,6 +1,8 @@
 import math
+from contextlib import contextmanager
 from functools import partial
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aag import measures
+from aag import table as aag_table
+from aag.ensemble import fit_detector
 from aag.measures import (
     PairCache,
     conditional_entropy,
@@ -445,16 +449,6 @@ class TestPairCache:
         assert cache.measure(t, (1,), (0,), 3) == normalized_measure(t, (0,), (1,))
 
 
-def sort_path_entropy(table, attrs):
-    """H(attrs) from np.unique's block counts and np.log2 of each count:
-    the reference the counting kernel must reproduce bit for bit."""
-    _, counts = measures._joint_inverse(table.codes.T, table.arities, attrs)
-    if counts.size == 1:
-        return 0.0
-    c = counts.astype(np.float64)
-    return float(np.log2(table.n_rows) - np.dot(c, np.log2(c)) / table.n_rows)
-
-
 def contingency_of(table, attrs):
     """Dense contingency table of ``attrs`` from the oracle's dict counts."""
     out = np.zeros([table.arities[a] for a in attrs], dtype=np.int64)
@@ -475,6 +469,26 @@ def kernel_tables(draw):
     return DiscreteTable(rng.integers(0, arities, size=(n_rows, n_attrs)))
 
 
+def tuple_ranks(table, attrs):
+    """Each row's rank among the distinct code tuples of ``attrs``, from
+    the oracle's row tuples."""
+    tuples = oracles.row_tuples(table, attrs)
+    rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+    return np.array([rank[t] for t in tuples])
+
+
+@contextmanager
+def renumberings():
+    """The sizes of the arrays the joint key renumbers densely inside the block."""
+    calls = []
+
+    def spy(values, _original=aag_table._dense):
+        calls.append(values.size)
+        return _original(values)
+    with mock.patch.object(aag_table, "_dense", spy):
+        yield calls
+
+
 def all_sets(n_attrs):
     return [s for k in range(1, n_attrs + 1) for s in combinations(range(n_attrs), k)]
 
@@ -485,13 +499,13 @@ class TestCountingKernel:
     def test_joint_entropy_matches_sort_path_and_oracle(self, table):
         for s in all_sets(table.n_attrs):
             h = joint_entropy(table, s)
-            assert h == sort_path_entropy(table, s)
+            assert h == oracles.sort_path_entropy(table, s)
             assert h == pytest.approx(oracles.entropy_of(table, s), abs=1e-9)
 
     @settings(max_examples=40)
     @given(kernel_tables(), st.sampled_from((2, 3)))
     def test_bound_cache_matches_sort_path(self, table, cap):
-        ref = partial(sort_path_entropy, table)
+        ref = partial(oracles.sort_path_entropy, table)
         cache = PairCache()
         for s in all_sets(table.n_attrs):
             assert cache.total_correlation(table, s) == measures._total_correlation(ref, s)
@@ -502,41 +516,66 @@ class TestCountingKernel:
 
     @settings(max_examples=40)
     @given(kernel_tables())
-    def test_key_counts_are_the_contingency_table(self, table):
+    def test_joint_key_sorts_as_tuples_and_counts_the_contingency_table(self, table):
+        for budget in (4 * table.n_rows, 1):
+            for s in all_sets(table.n_attrs):
+                with renumberings() as calls:
+                    key, size = aag_table._joint_key(table.codes.T, table.arities, s, budget)
+                assert 0 <= key.min() and key.max() < size <= max(budget, table.n_rows)
+                ranks = tuple_ranks(table, s)
+                assert np.array_equal(np.sign(key[:, None] - key[None, :]),
+                                      np.sign(ranks[:, None] - ranks[None, :]))
+                if not calls:
+                    contingency = contingency_of(table, s)
+                    assert size == contingency.size
+                    assert np.array_equal(np.bincount(key, minlength=size),
+                                          contingency.ravel())
+
+    @settings(max_examples=40)
+    @given(kernel_tables())
+    def test_partition_blocks_are_the_tuple_groups(self, table):
         for s in all_sets(table.n_attrs):
-            size = math.prod(table.arities[a] for a in s)
-            counts = measures._key_counts(table.codes.T, table.arities, s, size)
-            assert np.array_equal(counts.reshape(contingency_of(table, s).shape),
-                                  contingency_of(table, s))
+            part = induce_partition(table, s)
+            assert part.blocks() == oracles.group_rows_by_tuple(table, s)
+            assert part.block_sizes.tolist() == [len(b) for b in part.blocks()]
 
     def test_unused_last_key_is_still_counted(self):
         t = table_from_rows([[0, 1], [1, 0]])
-        assert measures._key_counts(t.codes.T, t.arities, (0, 1), 4).tolist() == [0, 1, 1, 0]
+        key, size = aag_table._joint_key(t.codes.T, t.arities, (0, 1), 8)
+        assert np.bincount(key, minlength=size).tolist() == [0, 1, 1, 0]
 
-    @pytest.mark.parametrize("arities, n_rows, path", [
-        ((40,), 10, "bincount"), ((41,), 10, "sort"),
-        ((6, 8), 12, "bincount"), ((7, 7), 12, "sort"),
-        ((2, 4, 5), 10, "bincount"), ((7, 1, 7), 12, "sort"),
+    @pytest.mark.parametrize("arities, n_rows, renumbered", [
+        ((40,), 10, False), ((41,), 10, True),
+        ((6, 8), 12, False), ((7, 7), 12, True),
+        ((2, 4, 5), 10, False), ((7, 1, 7), 12, True),
     ])
-    def test_four_keys_per_row_is_the_last_counted_size(self, monkeypatch, arities, n_rows,
-                                                          path):
+    def test_four_keys_per_row_is_the_last_counted_size(self, arities, n_rows, renumbered):
         rng = np.random.default_rng(18)
         codes = rng.integers(0, arities, size=(n_rows, len(arities)))
         codes[0] = np.asarray(arities) - 1  # every column reaches its arity
         t = DiscreteTable(codes)
         assert t.arities == arities
-        used = []
-        for name, label in (("_key_counts", "bincount"), ("_joint_inverse", "sort")):
-            def spy(*args, _original=getattr(measures, name), _label=label):
-                used.append(_label)
-                return _original(*args)
-            monkeypatch.setattr(measures, name, spy)
         attrs = tuple(range(len(arities)))
-        h = joint_entropy(t, attrs)
-        assert used == [path]
-        monkeypatch.undo()
-        assert h == sort_path_entropy(t, attrs)
+        with renumberings() as calls:
+            h = joint_entropy(t, attrs)
+        assert bool(calls) == renumbered
+        assert h == oracles.sort_path_entropy(t, attrs)
         assert h == pytest.approx(oracles.entropy_of(t, attrs), abs=1e-9)
+
+    @pytest.mark.parametrize("huge_column", [0, 1])
+    def test_huge_code_is_renumbered_instead_of_overflowing_the_key(self, huge_column):
+        rows = np.array([[0, 0], [2**62, 0], [0, 1], [2**62, 1], [0, 3]] * 3)
+        t = DiscreteTable(rows if huge_column == 0 else rows[:, ::-1])
+        assert t.arities[huge_column] == 2**62 + 1
+        h = joint_entropy(t, (0, 1))
+        assert h == oracles.sort_path_entropy(t, (0, 1))
+        assert h == pytest.approx(oracles.entropy_of(t, (0, 1)), abs=1e-9)
+        assert induce_partition(t, (0, 1)).blocks() == oracles.group_rows_by_tuple(t, (0, 1))
+        assert normalized_measure(t, (0,), (1,)) == pytest.approx(
+            oracles.normalized_measure_of(t, (0,), (1,)), abs=1e-9)
+        detector = fit_detector(t, (0, 1), 0.3)
+        assert (detector.cell_mass, detector.accepted_cells) == oracles.detector_cells_of(
+            t, (0, 1), 0.3)
 
     def test_wide_union_sorts_instead_of_overflowing_a_key(self):
         # 70 binary columns: the key space 2**70 has no int64 key
@@ -546,7 +585,7 @@ class TestCountingKernel:
         t = DiscreteTable(codes)
         attrs = tuple(range(70))
         h = joint_entropy(t, attrs)
-        assert h == sort_path_entropy(t, attrs)
+        assert h == oracles.sort_path_entropy(t, attrs)
         assert h == pytest.approx(oracles.entropy_of(t, attrs), abs=1e-9)
         assert PairCache().total_correlation(t, attrs) == pytest.approx(
             max(0.0, oracles.total_correlation_of(t, attrs)), abs=1e-9)
