@@ -8,11 +8,16 @@ validation false-positive rate within alpha.
 
 Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
-from 0.0. One kernel, ``_vote``, computes it for ``classify``,
-``classify_table``, ``EnsembleModel.score`` and ``detector_predict``, and
-gives calibration its per-detector votes. The threshold rho is cut from
-``weights @ votes`` over the validation rows, a BLAS sum that can differ
-from the detector-order sum in the last bit.
+from 0.0. Two kernels compute that same sum. The row kernel, ``_vote``,
+serves one-row calls (``classify``, ``EnsembleModel.score``,
+``detector_predict``) and gives calibration its per-detector votes. The
+table kernel, ``_column_vote``, serves ``classify_table``: it takes one
+detector at a time and adds its weight to every accepting row at once.
+A detector of weight 0.0 casts no vote in either kernel: adding 0.0 to a
+score that starts at +0.0 never changes it, so its cells are never
+looked up. The threshold rho is cut from ``weights @ votes`` over the
+validation rows, a BLAS sum that can differ from the detector-order sum
+in the last bit.
 
 Models are immutable once fitted; scoring is reentrant and safe to call
 from multiple threads.
@@ -24,6 +29,7 @@ from earlier versions still load.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +44,8 @@ ANOMALY = "anomaly"
 
 # rows gathered per fancy index in _vote; bounds its peak memory
 _BLOCK_ROWS = 2048
+# the largest code a model file may hold: rows hold int64 codes
+_MAX_CODE = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -89,21 +97,32 @@ class _Layout:
         attrs: list[int] = []
         parts = []
         for d, w in zip(detectors, weights):
+            if w == 0.0:  # casts no vote
+                continue
             start = len(attrs)
             attrs.extend(d.subspace)
             # the detector's own set, so cells added to it later still vote
             parts.append((start, len(attrs), d.accepted_cells, float(w)))
-        return cls(np.array(attrs, dtype=np.intp), tuple(parts), max(attrs) + 1)
+        return cls(np.array(attrs, dtype=np.intp), tuple(parts), _width(detectors))
+
+
+def _width(detectors) -> int:
+    """Codes a row needs: one past the largest attribute of any detector, voting or not."""
+    return max(max(d.subspace) for d in detectors) + 1
+
+
+def _check_width(codes: np.ndarray, width: int) -> None:
+    if codes.shape[1] < width:
+        raise SchemaError(f"row has {codes.shape[1]} codes, model needs at least {width}")
 
 
 def _vote(layout: _Layout, codes: np.ndarray) -> list[float]:
-    """Score every row of a 2-D code array; the one place rows meet accepted cells.
+    """Score every row of a 2-D code array, one row at a time.
 
     Each row's score adds the weights of the accepting detectors in
     detector order, starting from 0.0.
     """
-    if codes.shape[1] < layout.width:
-        raise SchemaError(f"row has {codes.shape[1]} codes, model needs at least {layout.width}")
+    _check_width(codes, layout.width)
     scores = []
     for lo in range(0, codes.shape[0], _BLOCK_ROWS):
         for row in codes[lo:lo + _BLOCK_ROWS, layout.attrs].tolist():
@@ -112,6 +131,33 @@ def _vote(layout: _Layout, codes: np.ndarray) -> list[float]:
                 if tuple(row[start:stop]) in cells:
                     s += w
             scores.append(s)
+    return scores
+
+
+def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
+    """Score every row of a 2-D code array, one detector at a time.
+
+    A detector's accepted cells (read from its own set on every call) are
+    stacked above the rows' subspace columns, column by column, and keyed
+    together by ``table._joint_key``, which renumbers rather than overflow
+    or alias, so a row and a cell share a key exactly when their codes
+    are equal. Each row adds the weights of the accepting detectors in
+    detector order, starting from 0.0: the sums of ``_vote``, bit for
+    bit. Cells hold int64 codes, as in any table.
+    """
+    _check_width(codes, _width(detectors))
+    scores = np.zeros(codes.shape[0])
+    for d, w in zip(detectors, weights):
+        if w == 0.0 or not d.accepted_cells:
+            continue
+        cells = np.array(list(d.accepted_cells), dtype=np.int64)
+        cells = cells[(cells >= 0).all(axis=1)]  # no row holds a negative code
+        # per attribute, the cells' codes and then the rows'
+        columns = [np.concatenate([cells[:, j], codes[:, a]]) for j, a in enumerate(d.subspace)]
+        arities = [int(column.max()) + 1 for column in columns]
+        key, _ = _joint_key(columns, arities, range(len(columns)),
+                            _KEYS_PER_ROW * (len(cells) + len(codes)))
+        scores[np.isin(key[len(cells):], key[:len(cells)])] += w
     return scores
 
 
@@ -139,12 +185,23 @@ def _only(values, *types) -> bool:
     return set(map(type, values)) <= set(types)
 
 
+def _finite(value, what: str) -> float:
+    """A number read from a model file as a float, or a SchemaError naming ``what``."""
+    try:
+        value = float(value)
+    except OverflowError:  # an int literal too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"{what} must be finite")
+    return value
+
+
 def _code_row(row, width: int, what: str) -> tuple[int, ...]:
-    """One cell of a model file as a tuple, checked to hold ``width`` non-negative codes."""
+    """One cell of a model file as a tuple, checked to hold ``width`` int64 codes >= 0."""
     if type(row) is not list or len(row) != width:
         raise SchemaError(f"{what} must hold lists of {width} codes")
     for code in row:
-        if type(code) is not int or code < 0:
+        if type(code) is not int or not 0 <= code <= _MAX_CODE:
             raise SchemaError(f"{what} must hold lists of {width} codes")
     return tuple(row)
 
@@ -160,13 +217,20 @@ def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
     width = len(attrs)
     in_cells, in_accepted = f"{where} field 'cells'", f"{where} field 'accepted'"
     cell_mass = {}
-    for cell in cells:
-        if type(cell) is not list or len(cell) != 2:
-            raise SchemaError(f"{in_cells} must hold [cell, mass] pairs")
-        key, mass = cell
-        if type(mass) is not float and type(mass) is not int:
-            raise SchemaError(f"{in_cells} must hold numeric masses")
-        cell_mass[_code_row(key, width, in_cells)] = float(mass)
+    try:
+        for cell in cells:
+            if type(cell) is not list or len(cell) != 2:
+                raise SchemaError(f"{in_cells} must hold [cell, mass] pairs")
+            key, mass = cell
+            if type(mass) is not float and type(mass) is not int:
+                raise SchemaError(f"{in_cells} must hold numeric masses")
+            cell_mass[_code_row(key, width, in_cells)] = float(mass)
+        # checked in one pass: a call per cell slows a model read by about 5 %
+        finite = all(map(math.isfinite, cell_mass.values()))
+    except OverflowError:  # an int mass too large for a float
+        finite = False
+    if not finite:
+        raise SchemaError(f"{in_cells} must hold finite masses")
     return SubspaceDetector(
         subspace=tuple(attrs),
         cell_mass=cell_mass,
@@ -218,8 +282,8 @@ class EnsembleModel:
         """Read a model document; a missing or ill-typed field raises SchemaError naming it."""
         entries = _require(doc, "detectors", list, "model")
         weights = _require(doc, "weights", list, "model")
-        rho = float(_require(doc, "rho", (int, float), "model"))
-        alpha = float(_require(doc, "alpha", (int, float), "model"))
+        rho = _finite(_require(doc, "rho", (int, float), "model"), "model field 'rho'")
+        alpha = _finite(_require(doc, "alpha", (int, float), "model"), "model field 'alpha'")
         if not entries:
             raise SchemaError("model field 'detectors' must not be empty")
         if len(weights) != len(entries):
@@ -227,6 +291,7 @@ class EnsembleModel:
                               f"for {len(entries)} detectors")
         if not _only(weights, int, float):
             raise SchemaError("model field 'weights' must hold numbers")
+        weights = [_finite(w, "model field 'weights' entries") for w in weights]
         detectors = [_detector_from_json(d, i, alpha) for i, d in enumerate(entries)]
         pp = None
         if "preprocess" in doc:
@@ -317,6 +382,6 @@ def classify(model: EnsembleModel, row) -> tuple[float, str]:
 
 def classify_table(model: EnsembleModel, table: DiscreteTable) -> tuple[np.ndarray, list[str]]:
     """Score every row of a coded table."""
-    scores = _vote(model._layout, table.codes)
+    scores = _column_vote(model.detectors, model.weights, table.codes)
     rho = model.rho
-    return np.array(scores, dtype=np.float64), [NORMAL if s >= rho else ANOMALY for s in scores]
+    return scores, [NORMAL if s >= rho else ANOMALY for s in scores.tolist()]

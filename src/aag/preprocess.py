@@ -172,19 +172,47 @@ class PreprocessModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PreprocessModel":
+        """Read the document; a field that could not come from a fit raises
+        ValueError (KeyError or TypeError when it is missing or not a dict)."""
         cols = []
         for c in doc["columns"]:
+            name = c["name"]
             if c["kind"] == NUMERIC:
-                cols.append(ColumnModel(c["name"], NUMERIC, mean=float(c["mean"]),
-                                        edges=[float(e) for e in c["edges"]]))
+                mean, edges = c["mean"], c["edges"]
+                if not _is_finite_number(mean):
+                    raise ValueError(f"column {name!r}: 'mean' must be a finite number")
+                if type(edges) is not list or not all(map(_is_finite_number, edges)):
+                    raise ValueError(f"column {name!r}: 'edges' must be a list of finite numbers")
+                edges = [float(e) for e in edges]
+                if any(a >= b for a, b in zip(edges, edges[1:])):
+                    raise ValueError(f"column {name!r}: 'edges' must be strictly increasing")
+                cols.append(ColumnModel(name, NUMERIC, mean=float(mean), edges=edges))
+            elif c["kind"] == CATEGORICAL:
+                mode, symbols = c["mode"], c["symbols"]
+                if (type(symbols) is not list or not all(type(s) is str for s in symbols)
+                        or len(set(symbols)) != len(symbols)):
+                    raise ValueError(f"column {name!r}: 'symbols' must be a list of distinct strings")
+                if mode not in symbols:
+                    raise ValueError(f"column {name!r}: 'mode' must be one of its symbols")
+                cols.append(ColumnModel(name, CATEGORICAL, mode=mode, symbols=list(symbols)))
             else:
-                cols.append(ColumnModel(c["name"], CATEGORICAL, mode=c["mode"],
-                                        symbols=list(c["symbols"])))
-        return cls(columns=cols, bins=int(doc["bins"]))
+                raise ValueError(f"column {name!r}: 'kind' must be {NUMERIC!r} or {CATEGORICAL!r}")
+        bins = doc["bins"]
+        if type(bins) is not int or bins < 2:
+            raise ValueError("'bins' must be an int of at least 2")
+        return cls(columns=cols, bins=bins)
 
     @classmethod
     def from_json(cls, text: str) -> "PreprocessModel":
         return cls.from_json_dict(json.loads(text))
+
+
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _equal_frequency_edges(values: np.ndarray, bins: int) -> list[float]:

@@ -125,6 +125,40 @@ class TestTrainAndScore:
                    "--output", tmp_path / "s.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda pp: pp["columns"][-1].update(mode="absent"),
+        lambda pp: pp["columns"][-1].update(symbols="n"),
+        lambda pp: pp["columns"][-1].update(symbols=["n", "n"]),
+        lambda pp: pp["columns"][-1].update(symbols=["n", 1]),
+        lambda pp: pp["columns"][-1].update(kind="ordinal"),
+        lambda pp: pp["columns"][0].update(edges=pp["columns"][0]["edges"][::-1]),
+        lambda pp: pp["columns"][0].update(edges=[0.0, 0.0]),
+        lambda pp: pp["columns"][0].update(edges=[0.0, float("inf")]),
+        lambda pp: pp["columns"][0].update(edges=[0.0, "1.0"]),
+        lambda pp: pp["columns"][0].update(edges=0.5),
+        lambda pp: pp["columns"][0].update(mean=float("nan")),
+        lambda pp: pp["columns"][0].update(mean="0.5"),
+        lambda pp: pp.update(bins=1),
+        lambda pp: pp.update(bins="10"),
+        lambda pp: pp.update(bins=10.0),
+        lambda pp: pp.update(bins=True),
+    ], ids=["mode-not-a-symbol", "symbols-a-string", "repeated-symbols", "non-string-symbol",
+            "unknown-kind", "descending-edges", "equal-edges", "infinite-edge", "string-edge",
+            "edges-not-a-list", "nan-mean", "string-mean", "one-bin", "string-bins",
+            "float-bins", "bool-bins"])
+    def test_malformed_preprocess_section_exits_2(self, tmp_path, grouped_csv, capsys, edit):
+        model_path = tmp_path / "model.json"
+        assert run("train", "--input", grouped_csv, "--output", model_path) == 0
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        edit(doc["preprocess"])  # column a0 is numeric, the last (class) categorical
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run("score", "--input", grouped_csv, "--model", model_path,
+                   "--output", tmp_path / "s.csv")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "'preprocess'" in err
+        assert "internal error" not in err
+
     def test_malformed_model_exits_2_naming_field(self, tmp_path, grouped_csv, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"alpha": 0.05}', encoding="utf-8")

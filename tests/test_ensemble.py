@@ -251,6 +251,16 @@ class TestModelFileValidation:
         (lambda d: d["detectors"][1].update(accepted=[[0, -1]]), "accepted"),
         (lambda d: d["detectors"].__setitem__(0, [0]), "attrs"),
         (lambda d: d.update(preprocess={"bins": 10}), "preprocess"),
+        (lambda d: d["weights"].__setitem__(0, float("nan")), "weights"),
+        (lambda d: d["weights"].__setitem__(1, float("inf")), "weights"),
+        (lambda d: d["weights"].__setitem__(1, 10**400), "weights"),
+        (lambda d: d.update(rho=float("nan")), "rho"),
+        (lambda d: d.update(rho=float("-inf")), "rho"),
+        (lambda d: d.update(alpha=float("nan")), "alpha"),
+        (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, float("nan")), "cells"),
+        (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, float("inf")), "cells"),
+        (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, 10**400), "cells"),
+        (lambda d: d["detectors"][1].update(accepted=[[0, 2**63]]), "accepted"),
     ])
     def test_malformed_field_is_a_schema_error_naming_it(self, edit, field):
         doc = self.doc()
@@ -349,3 +359,91 @@ class TestVoteKernelAgainstReference:
         assert loaded_labels == labels
         for i, row in enumerate(score.codes[:60]):
             assert classify(loaded, row) == (scores[i], labels[i])
+
+
+HUGE = 2**62 + 3  # a code near 2**62: its column's arity passes any key budget
+
+
+@st.composite
+def table_kernel_cases(draw):
+    """A model read from a file, and a score table, drawn from a seed.
+
+    Detectors list their ``attrs`` in any order and may repeat one; an
+    accepted list may be empty. Weights mix 0.0 and -0.0 with nonzero
+    weights of several magnitudes, so a sum in another order would differ
+    in the last bit. Score rows and accepted cells may hold codes near
+    2**62 and codes past every other row's; score tables may span
+    several row blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_attrs = int(rng.integers(2, 7))
+    n_score = draw(st.integers(1, 40) | st.integers(ensemble._BLOCK_ROWS - 2,
+                                                    ensemble._BLOCK_ROWS + 200))
+    codes = rng.integers(0, rng.integers(1, 5, size=n_attrs), size=(n_score, n_attrs))
+    if draw(st.booleans()):
+        codes[rng.random(codes.shape) < 0.05] = HUGE
+    detectors, weights = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        attrs = rng.integers(0, n_attrs, size=int(rng.integers(1, 4))).tolist()
+        seen = codes[rng.integers(0, n_score, size=int(rng.integers(0, 6)))][:, attrs]
+        other = rng.integers(0, 9, size=(int(rng.integers(0, 6)), len(attrs)))
+        if rng.random() < 0.3 and other.size:
+            other[0, rng.integers(len(attrs))] = HUGE + int(rng.integers(0, 2))
+        cells = sorted({tuple(c) for c in np.concatenate([seen, other]).tolist()})
+        keep = 0.8 if rng.random() < 0.8 else 0.0  # sometimes an empty accepted list
+        detectors.append({"attrs": attrs, "cells": [[list(c), 0.5] for c in cells],
+                          "accepted": [list(c) for c in cells if rng.random() < keep]})
+        weights.append(draw(st.sampled_from([0.0, -0.0, 1.0]))
+                       * float(rng.random() * 10.0 ** rng.integers(-3, 3)))
+    doc = {"alpha": 0.05, "rho": draw(st.sampled_from([0.0, 0.3, 1.0])), "weights": weights,
+           "detectors": detectors}
+    return EnsembleModel.from_json(json.dumps(doc)), DiscreteTable(codes)
+
+
+class TestTableKernel:
+    @settings(max_examples=40)
+    @given(table_kernel_cases())
+    def test_table_scores_match_reference_and_row_calls_bit_for_bit(self, case):
+        model, table = case
+        scores, labels = classify_table(model, table)
+        want = [oracles.score_of(model.detectors, model.weights, row) for row in table.codes]
+        assert scores.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert labels == ["normal" if s >= model.rho else "anomaly" for s in want]
+        for i, row in enumerate(table.codes):
+            score, label = classify(model, row)
+            assert np.float64(score).tobytes() == scores[i].tobytes()
+            assert label == labels[i]
+
+    @pytest.mark.parametrize("rows, cell", [
+        # past every row's code: (0, 3) would key as (1, 1) at radix 2
+        ([[1, 1], [0, 0]], (0, 3)),
+        # 4 * (2**62 + 4) wraps int64 to 16, the key of (0, 16)
+        ([[4, 0], [0, HUGE]], (0, 16)),
+        # a negative digit: (1, -1) would key as (0, 2) at radix 3
+        ([[0, 2], [1, 0]], (1, -1)),
+    ])
+    def test_a_cell_never_accepts_a_row_with_other_codes(self, rows, cell):
+        det = SubspaceDetector((0, 1), {cell: 1.0}, {cell}, 0.05)
+        model = EnsembleModel([det], np.array([1.0]), rho=0.5, alpha=0.05)
+        assert classify_table(model, table_from_rows(rows))[0].tolist() == [0.0, 0.0]
+
+    def test_accepted_cells_are_read_on_every_call(self):
+        det = SubspaceDetector((1, 0), {(0, 1): 1.0}, {(0, 1)}, 0.05)
+        model = EnsembleModel([det], np.array([1.0]), rho=0.5, alpha=0.05)
+        table = table_from_rows([[1, 0], [2, 2]])
+        assert classify_table(model, table)[0].tolist() == [1.0, 0.0]
+        det.accepted_cells.add((2, 2))
+        assert classify_table(model, table)[0].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("wide_weight", [0.0, -0.0, 0.5])
+    def test_table_narrower_than_the_model_is_a_schema_error(self, wide_weight):
+        near = SubspaceDetector((0,), {(0,): 1.0}, {(0,)}, 0.05)
+        wide = SubspaceDetector((0, 3), {(0, 0): 1.0}, {(0, 0)}, 0.05)
+        model = EnsembleModel([near, wide], np.array([1.0, wide_weight]), rho=0.5, alpha=0.05)
+        table = table_from_rows([[0, 0, 0]] * 3)
+        with pytest.raises(SchemaError, match="model needs at least 4"):
+            classify_table(model, table)
+        with pytest.raises(SchemaError, match="model needs at least 4"):
+            ensemble._vote(model._layout, table.codes)
+        with pytest.raises(SchemaError, match="model needs at least 4"):
+            classify(model, (0, 0, 0))
