@@ -1,12 +1,20 @@
 """Command-line front end for subspace discovery, training, and scoring.
-
 Exit codes: 0 success, 1 usage error, 2 data or schema error, 3 internal
 invariant violation.
+
+A command runs with Python's cyclic garbage collector paused. The data a
+command builds (cell tuples, lists of codes, parsed JSON) holds no
+reference cycles, so reference counting frees all of it, yet the
+collector would rescan those objects over and over while they live and
+free nothing. ``main`` restores the collector's state on every exit. The
+pause covers the whole process, including other threads of a program that
+embeds ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 import time
@@ -57,7 +65,7 @@ _FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="aag", description=__doc__)
+    parser = _Parser(prog="aag", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"aag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,6 +237,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    collecting = gc.isenabled()
+    gc.disable()  # the commands build no cycles; see the module docstring
     try:
         return COMMANDS[args.command](args)
     except (AagError, OSError) as exc:
@@ -240,6 +250,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # invariant violation; report and flag as internal
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

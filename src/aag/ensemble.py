@@ -143,14 +143,19 @@ def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
     or alias, so a row and a cell share a key exactly when their codes
     are equal. Each row adds the weights of the accepting detectors in
     detector order, starting from 0.0: the sums of ``_vote``, bit for
-    bit. Cells hold int64 codes, as in any table.
+    bit. A cell holding a negative code or one past int64 matches no row
+    and is dropped.
     """
     _check_width(codes, _width(detectors))
     scores = np.zeros(codes.shape[0])
     for d, w in zip(detectors, weights):
         if w == 0.0 or not d.accepted_cells:
             continue
-        cells = np.array(list(d.accepted_cells), dtype=np.int64)
+        try:
+            cells = np.array(list(d.accepted_cells), dtype=np.int64)
+        except OverflowError:  # a code outside int64, which no row holds
+            held = [c for c in d.accepted_cells if 0 <= min(c) and max(c) <= _MAX_CODE]
+            cells = np.array(held, dtype=np.int64).reshape(-1, len(d.subspace))
         cells = cells[(cells >= 0).all(axis=1)]  # no row holds a negative code
         # per attribute, the cells' codes and then the rows'
         columns = [np.concatenate([cells[:, j], codes[:, a]]) for j, a in enumerate(d.subspace)]

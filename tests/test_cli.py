@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import aag
+from aag import cli
 from aag.cli import main
 
 from synth import grouped_csv_text, two_class_csv_text
@@ -268,6 +270,67 @@ class TestCsvHeaders:
             assert run("train", "--input", path, "--output", out, "--seed", 3) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector paused; main restores the caller's state."""
+
+    @pytest.fixture()
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("exit_code", [0, 2, 3])
+    def test_main_restores_the_callers_state_on_exit(self, tmp_path, grouped_csv, monkeypatch,
+                                                      restore_collector, exit_code,
+                                                      caller_enabled):
+        model_path = tmp_path / "model.json"
+        if exit_code == 2:  # the model file does not exist
+            argv = ["score", "--input", grouped_csv, "--model", model_path,
+                    "--output", tmp_path / "s.csv"]
+        else:
+            argv = ["train", "--input", grouped_csv, "--output", model_path]
+        command = cli.COMMANDS[argv[0]]
+        during = []
+
+        def spy(args):
+            during.append(gc.isenabled())
+            if exit_code == 3:
+                raise RuntimeError("broken invariant")
+            return command(args)
+
+        monkeypatch.setitem(cli.COMMANDS, argv[0], spy)
+        if caller_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        code = run(*argv)
+        after = gc.isenabled()
+        assert (code, during, after) == (exit_code, [False], caller_enabled)
+
+    def test_commands_leave_no_cycles_that_grow_with_the_data(self, tmp_path,
+                                                              restore_collector):
+        # The pause is safe only while a command's data holds no reference
+        # cycles: then what the collector finds does not depend on the table.
+        def found_after_train_and_score(n_rows):
+            data = tmp_path / f"rows{n_rows}.csv"
+            data.write_text(grouped_csv_text(n_rows=n_rows, group_sizes=(3, 3), seed=5),
+                            encoding="utf-8")
+            model_path = tmp_path / f"model{n_rows}.json"
+            gc.collect()
+            gc.disable()
+            assert run("train", "--input", data, "--output", model_path) == 0
+            assert run("score", "--input", data, "--model", model_path,
+                       "--output", tmp_path / f"scores{n_rows}.csv") == 0
+            return gc.collect()
+
+        found_after_train_and_score(20)  # warm-up: imports and first-call caches
+        assert found_after_train_and_score(20) == found_after_train_and_score(400)
 
 
 def test_console_script_round_trip(tmp_path):

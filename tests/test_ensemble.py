@@ -421,11 +421,21 @@ class TestTableKernel:
         ([[4, 0], [0, HUGE]], (0, 16)),
         # a negative digit: (1, -1) would key as (0, 2) at radix 3
         ([[0, 2], [1, 0]], (1, -1)),
+        # codes outside int64, which no row can hold
+        ([[0, 0], [1, 1]], (0, 2**63)),
+        ([[0, 0], [1, 1]], (-2**63 - 1, 0)),
     ])
     def test_a_cell_never_accepts_a_row_with_other_codes(self, rows, cell):
         det = SubspaceDetector((0, 1), {cell: 1.0}, {cell}, 0.05)
         model = EnsembleModel([det], np.array([1.0]), rho=0.5, alpha=0.05)
         assert classify_table(model, table_from_rows(rows))[0].tolist() == [0.0, 0.0]
+
+    def test_a_cell_past_int64_is_a_miss_and_the_other_cells_still_vote(self):
+        det = SubspaceDetector((0,), {}, {(2**63,), (1,)}, 0.05)
+        model = EnsembleModel([det], np.array([1.0]), rho=0.5, alpha=0.05)
+        rows = [[0], [1]]
+        assert classify_table(model, table_from_rows(rows))[0].tolist() == [0.0, 1.0]
+        assert [classify(model, row)[0] for row in rows] == [0.0, 1.0]
 
     def test_accepted_cells_are_read_on_every_call(self):
         det = SubspaceDetector((1, 0), {(0, 1): 1.0}, {(0, 1)}, 0.05)
