@@ -7,7 +7,7 @@ The tables come from this checkout's ``perfbench/workloads.py`` (imported,
 never changed), written under a temporary directory. The ``aag`` package
 under ``SRC/src`` runs in this process, as the benchmark runs it, with one
 BLAS thread. Every table of a workload is trained and then scored, in
-``--rounds`` rounds. Before each command ``gc.collect()`` empties the
+``ROUNDS`` rounds. Before each command ``gc.collect()`` empties the
 collector, so every command starts from the same state; a ``gc.callbacks``
 hook then adds up the wall time of every collection that runs inside the
 command. The benchmark's tracer wraps Python functions and cannot see that
@@ -38,6 +38,8 @@ from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 from output_digests import commands, workloads  # noqa: E402  (same directory)
+
+ROUNDS = 3
 
 
 class CollectorClock:
@@ -73,25 +75,21 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, type=Path,
                         help="checkout whose src/aag runs the commands")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", choices=[*workloads.WORKLOADS, "all"], default="all")
-    parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve() / "src"))
     aag_main = importlib.import_module("aag.cli").main
     logging.basicConfig(level=logging.WARNING)  # keeps aag's per-phase INFO lines off stderr
-    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     clock = CollectorClock()
     gc.callbacks.append(clock)
     print("workload     command  wall_s  gc_s    gc_share  collections")
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            for name in names:
-                workload = workloads.WORKLOADS[name]
+            for name, workload in workloads.WORKLOADS.items():
                 tables = [commands(workloads.generate(workload, args.seed, k,
                                                       Path(tmp, name, f"t{k}")))[1:]
                           for k in range(workload.instances)]
                 rounds = {"train": [], "score": []}
-                for _ in range(args.rounds):
+                for _ in range(ROUNDS):
                     for step, command in enumerate(rounds):
                         runs = [run_timed(aag_main, table[step], clock) for table in tables]
                         rounds[command].append([sum(column) for column in zip(*runs)])
