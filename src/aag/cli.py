@@ -62,6 +62,11 @@ def _checked(convert, ok, rule):
 
 
 _FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_SHARE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"at least {low}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fit_params(p):
         p.add_argument("--alpha", type=_FRACTION, default=0.05)
-        p.add_argument("--bins", type=_checked(int, lambda v: v >= 2, "at least 2"), default=10)
+        p.add_argument("--bins", type=_at_least(2), default=10)
         p.add_argument("--cap", type=int, choices=(2, 3), default=3)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--val-fraction", type=_FRACTION, default=0.3)
@@ -106,16 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_fit_params(p)
     p.add_argument("--class-column", required=True)
     p.add_argument("--setting", type=int, choices=(1, 3), required=True)
-    p.add_argument("--fraction", type=float, default=0.1,
+    p.add_argument("--fraction", type=_SHARE, default=0.1,
                    help="fraction of attributes perturbed (setting 1)")
-    p.add_argument("--minority-fraction", type=float, default=0.1,
+    p.add_argument("--minority-fraction", type=_SHARE, default=0.1,
                    help="fraction of minority rows used as novelties (setting 3)")
-    p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--repeats", type=_at_least(1), default=20)
 
     p = sub.add_parser("stability", help="stability index over repeated resampled runs")
     add_io(p)
     add_fit_params(p)
-    p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--repeats", type=_at_least(2), default=20)
     return parser
 
 

@@ -10,14 +10,17 @@ Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
 from 0.0. Two kernels compute that same sum. The row kernel, ``_vote``,
 serves one-row calls (``classify``, ``EnsembleModel.score``,
-``detector_predict``) and gives calibration its per-detector votes. The
-table kernel, ``_column_vote``, serves ``classify_table``: it takes one
-detector at a time and adds its weight to every accepting row at once.
-A detector of weight 0.0 casts no vote in either kernel: adding 0.0 to a
-score that starts at +0.0 never changes it, so its cells are never
-looked up. The threshold rho is cut from ``weights @ votes`` over the
-validation rows, a BLAS sum that can differ from the detector-order sum
-in the last bit.
+``detector_predict``): it turns the row into a list of codes, and each
+voting detector reads its cell from that list with a getter
+(``operator.itemgetter`` over its subspace) and looks it up in its
+accepted set. Calibration reads each detector's cells from the
+validation rows with the same getter. The table kernel,
+``_column_vote``, serves ``classify_table``: it takes one detector at a
+time and adds its weight to every accepting row at once. A detector of
+weight 0.0 casts no vote in either kernel: adding 0.0 to a score that
+starts at +0.0 never changes it, so its cells are never looked up. The
+threshold rho is cut from ``weights @ votes`` over the validation rows,
+a BLAS sum that can differ from the detector-order sum in the last bit.
 
 Models are immutable once fitted; scoring is reentrant and safe to call
 from multiple threads.
@@ -30,8 +33,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .table import _KEYS_PER_ROW, DiscreteTable, _joint_key, validate_attrs
 NORMAL = "normal"
 ANOMALY = "anomaly"
 
-# rows gathered per fancy index in _vote; bounds its peak memory
+# rows listed at a time in _vote; bounds its peak memory
 _BLOCK_ROWS = 2048
 # the largest code a model file may hold: rows hold int64 codes
 _MAX_CODE = int(np.iinfo(np.int64).max)
@@ -84,26 +89,28 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
     return SubspaceDetector(subspace, cell_mass, accepted, alpha)
 
 
+def _cell_getter(subspace) -> Callable[[list], tuple]:
+    """The function that reads a detector's cell, a tuple, from a row's list of codes."""
+    if len(subspace) == 1:
+        (a,) = subspace
+        return lambda row: (row[a],)  # itemgetter(a) would return the bare code
+    return itemgetter(*subspace)
+
+
 @dataclass(frozen=True)
 class _Layout:
-    """Where each detector's cell sits in a row gathered over all subspaces."""
+    """How each voting detector reads its cell from a row's list of codes."""
 
-    attrs: np.ndarray  # every detector's subspace, concatenated in detector order
-    parts: tuple[tuple[int, int, set, float], ...]  # (start, stop, accepted cells, weight)
+    parts: tuple[tuple[Callable, set, float], ...]  # (cell getter, accepted cells, weight)
     width: int  # codes a row needs
 
     @classmethod
     def of(cls, detectors, weights) -> "_Layout":
-        attrs: list[int] = []
-        parts = []
-        for d, w in zip(detectors, weights):
-            if w == 0.0:  # casts no vote
-                continue
-            start = len(attrs)
-            attrs.extend(d.subspace)
-            # the detector's own set, so cells added to it later still vote
-            parts.append((start, len(attrs), d.accepted_cells, float(w)))
-        return cls(np.array(attrs, dtype=np.intp), tuple(parts), _width(detectors))
+        # the detector's own set, so cells added to it later still vote;
+        # a weight of 0.0 casts no vote
+        parts = tuple((_cell_getter(d.subspace), d.accepted_cells, float(w))
+                      for d, w in zip(detectors, weights) if w != 0.0)
+        return cls(parts, _width(detectors))
 
 
 def _width(detectors) -> int:
@@ -125,10 +132,10 @@ def _vote(layout: _Layout, codes: np.ndarray) -> list[float]:
     _check_width(codes, layout.width)
     scores = []
     for lo in range(0, codes.shape[0], _BLOCK_ROWS):
-        for row in codes[lo:lo + _BLOCK_ROWS, layout.attrs].tolist():
+        for row in codes[lo:lo + _BLOCK_ROWS].tolist():
             s = 0.0
-            for start, stop, cells, w in layout.parts:
-                if tuple(row[start:stop]) in cells:
+            for cell_of, cells, w in layout.parts:
+                if cell_of(row) in cells:
                     s += w
             scores.append(s)
     return scores
@@ -358,11 +365,14 @@ def fit_ensemble(
     if fit_idx.size == 0 or val_idx.size == 0:
         raise ValueError("split left an empty part")
     fit_part = train.take_rows(fit_idx)
-    val_rows = train.codes[val_idx]
+    val_rows = train.codes[val_idx].tolist()
 
     detectors = [fit_detector(fit_part, attrs, alpha) for attrs in attr_sets]
-    # a detector's vote is its score alone with weight 1.0
-    votes = np.array([_vote(_Layout.of([d], [1.0]), val_rows) for d in detectors], dtype=np.float64)
+    # each detector's vote on every validation row, its cell read as _vote reads it
+    votes = np.array([
+        list(map(d.accepted_cells.__contains__, map(_cell_getter(d.subspace), val_rows)))
+        for d in detectors
+    ], dtype=np.float64)
     errors = 1.0 - votes.mean(axis=1)
     raw = 1.0 - errors
     total = raw.sum()

@@ -105,6 +105,14 @@ def _class_mask(column: RawColumn, value) -> np.ndarray:
     return np.asarray([v == value for v in column.values])
 
 
+def _class_of(data: RawTable, class_column) -> RawColumn:
+    """The class column, or a GenerationError naming it if the data has no such column."""
+    try:
+        return data.column(class_column)
+    except (KeyError, IndexError):
+        raise GenerationError(f"no class column {class_column!r} in the data") from None
+
+
 def generate_setting1(
     data: RawTable,
     class_column,
@@ -122,7 +130,7 @@ def generate_setting1(
     """
     if not 0.0 < fraction_perturbed <= 1.0:
         raise GenerationError("fraction_perturbed must be in (0, 1]")
-    class_col = data.column(class_column)
+    class_col = _class_of(data, class_column)
     majority = _majority_value(class_col)
     rows = np.flatnonzero(_class_mask(class_col, majority))
     if rows.size < 10:
@@ -200,7 +208,7 @@ def generate_setting3(
     """
     if not 0.0 < minority_fraction <= 1.0:
         raise GenerationError("minority_fraction must be in (0, 1]")
-    class_col = data.column(class_column)
+    class_col = _class_of(data, class_column)
     majority = _majority_value(class_col)
     mask = _class_mask(class_col, majority)
     majority_rows = np.flatnonzero(mask)

@@ -211,6 +211,15 @@ class TestBench:
                    "--class-column", "class", "--setting", 3, "--repeats", 1)
         assert code == 2
 
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_absent_class_column_exits_2_naming_it(self, tmp_path, two_class_csv, capsys,
+                                                   setting):
+        code = run("bench", "--input", two_class_csv, "--output", tmp_path / "x.csv",
+                   "--class-column", "zzz", "--setting", setting, "--repeats", 1)
+        assert code == 2
+        assert "no class column 'zzz'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestStability:
     def test_report_written(self, tmp_path, grouped_csv, capsys):
@@ -236,10 +245,16 @@ class TestUsageErrors:
                    "--alpha", 2.0)
         assert code == 1
 
-    @pytest.mark.parametrize("command", ["subspaces", "train", "bench", "stability"])
-    @pytest.mark.parametrize("flag,value", [
-        ("--cap", 1), ("--cap", 4), ("--alpha", 0), ("--alpha", 1.5), ("--alpha", "nan"),
-        ("--val-fraction", 0), ("--val-fraction", 1), ("--bins", 1), ("--bins", "two"),
+    @pytest.mark.parametrize("flag,value,command", [
+        *((flag, value, command)
+          for command in ("subspaces", "train", "bench", "stability")
+          for flag, value in (("--cap", 1), ("--cap", 4), ("--alpha", 0), ("--alpha", 1.5),
+                              ("--alpha", "nan"), ("--val-fraction", 0), ("--val-fraction", 1),
+                              ("--bins", 1), ("--bins", "two"))),
+        ("--repeats", 0, "bench"), ("--repeats", -1, "bench"), ("--repeats", "two", "bench"),
+        ("--repeats", 1, "stability"), ("--repeats", 0, "stability"),
+        ("--fraction", 0, "bench"), ("--fraction", 1.5, "bench"), ("--fraction", "nan", "bench"),
+        ("--minority-fraction", 0, "bench"), ("--minority-fraction", 2, "bench"),
     ])
     def test_bad_fit_parameter_exits_1_before_reading_input(self, tmp_path, capsys,
                                                             command, flag, value):

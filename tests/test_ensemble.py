@@ -457,3 +457,51 @@ class TestTableKernel:
             ensemble._vote(model._layout, table.codes)
         with pytest.raises(SchemaError, match="model needs at least 4"):
             classify(model, (0, 0, 0))
+
+
+class TestRowKernel:
+    def test_one_attribute_detectors_vote_as_the_reference(self):
+        rng = np.random.default_rng(61)
+        # skewed codes, so a one-attribute detector rejects its rarest code
+        fit = DiscreteTable(rng.choice(3, p=[0.6, 0.3, 0.1], size=(80, 4)))
+        model = fit_ensemble(fit, [(0,), (2,), (1, 3), (3,)], alpha=0.2, seed=4)
+        _, val_idx = split_indices(fit.n_rows, 0.3, 4)
+        weights, rho = oracles.calibration_of(model.detectors, fit.codes[val_idx], 0.2)
+        assert model.weights.tolist() == weights.tolist()
+        assert model.rho == rho
+        rows = rng.integers(0, 4, size=(40, 4))  # code 3 was never fit
+        for d in model.detectors:
+            assert {oracles.vote_of(d, row) for row in rows} == {0, 1}
+        for row in rows:
+            want = oracles.score_of(model.detectors, model.weights, row)
+            assert classify(model, row) == (want, "normal" if want >= rho else "anomaly")
+            assert model.score(row.tolist()) == want
+            for d in model.detectors:
+                assert detector_predict(d, row) == oracles.vote_of(d, row)
+
+    def test_a_detector_with_unordered_repeated_attrs_scores_as_the_reference(self):
+        # the cell (1, 0, 2) can never match: attribute 2 cannot hold 1 and 2 at once
+        doc = {"alpha": 0.05, "rho": 0.5, "weights": [0.75, 0.25], "detectors": [
+            {"attrs": [2, 0, 2], "cells": [[[1, 0, 1], 0.5], [[1, 0, 2], 0.5]],
+             "accepted": [[1, 0, 1], [1, 0, 2]]},
+            {"attrs": [1], "cells": [[[0], 1.0]], "accepted": [[0]]},
+        ]}
+        model = EnsembleModel.from_json(json.dumps(doc))
+        table = table_from_rows([[0, 0, 1], [0, 1, 1], [0, 0, 2], [1, 0, 1], [0, 5, 0]])
+        want = [1.0, 0.75, 0.25, 0.25, 0.0]
+        assert [oracles.score_of(model.detectors, model.weights, r) for r in table.codes] == want
+        assert classify_table(model, table)[0].tolist() == want
+        assert [model.score(row) for row in table.codes] == want
+        assert [classify(model, row)[0] for row in table.codes] == want
+        assert [detector_predict(model.detectors[0], row) for row in table.codes] == [1, 1, 0, 0, 0]
+
+    def test_cells_added_after_the_first_call_vote_on_the_next(self):
+        pair = SubspaceDetector((1, 0), {(0, 1): 1.0}, {(0, 1)}, 0.05)
+        single = SubspaceDetector((0,), {(1,): 1.0}, {(1,)}, 0.05)
+        model = EnsembleModel([pair, single], np.array([0.5, 0.5]), rho=0.5, alpha=0.05)
+        assert classify(model, (2, 2)) == (0.0, "anomaly")
+        layout = model._layout
+        pair.accepted_cells.add((2, 2))
+        single.accepted_cells.add((2,))
+        assert classify(model, (2, 2)) == (1.0, "normal")
+        assert model._layout is layout

@@ -152,6 +152,18 @@ class TestSetting3:
             generate_setting3(raw, "class", 0.1, seed=0)
 
 
+class TestClassColumn:
+    @pytest.mark.parametrize("generate", [generate_setting1, generate_setting3])
+    @pytest.mark.parametrize("class_column", ["zzz", 4])
+    def test_absent_class_column_is_a_generation_error_naming_it(self, generate, class_column):
+        with pytest.raises(GenerationError, match=f"no class column {class_column!r}"):
+            generate(make_raw(), class_column, 0.5, seed=0)
+
+    def test_the_table_lookup_keeps_its_key_error(self):
+        with pytest.raises(KeyError, match="no column named 'zzz'"):
+            make_raw().column("zzz")
+
+
 class TestStabilityIndex:
     def test_identical_runs_give_exactly_one(self):
         run = subspace_set((0, 1), (2, 3, 4))
