@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .ensemble import EnsembleModel, classify_table, fit_ensemble, split_indices
-from .errors import AagError
+from .errors import AagError, SchemaError
 from .evaluation import f1_score, generate_setting1, generate_setting3, stability_index
 from .grouping import SubspaceSet, run_aag
 from .preprocess import DEFAULT_MISSING, apply_preprocessor, fit_preprocessor, load_csv
@@ -171,7 +171,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model = EnsembleModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.model).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{args.model}: model file is not UTF-8 text") from exc
+    model = EnsembleModel.from_json(text)
     if model.preprocess is None:
         raise AagError("model file carries no preprocessing parameters")
     raw = _load(args)

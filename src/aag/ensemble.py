@@ -9,9 +9,10 @@ validation false-positive rate within alpha.
 Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
 from 0.0. Two kernels compute that same sum. The row kernel, ``_vote``,
-serves one-row calls (``classify``, ``EnsembleModel.score``,
-``detector_predict``): it turns the row into a list of codes, and each
-voting detector reads its cell from that list with a getter
+scores the one row of a one-row call (``classify``,
+``EnsembleModel.score``, ``detector_predict``): it reads the row as int64
+codes, checks its width and turns it into a list, and each voting
+detector reads its cell from that list with a getter
 (``operator.itemgetter`` over its subspace) and looks it up in its
 accepted set. Calibration reads each detector's cells from the
 validation rows with the same getter. The table kernel,
@@ -47,8 +48,6 @@ from .table import _KEYS_PER_ROW, DiscreteTable, _joint_key, validate_attrs
 NORMAL = "normal"
 ANOMALY = "anomaly"
 
-# rows listed at a time in _vote; bounds its peak memory
-_BLOCK_ROWS = 2048
 # the largest code a model file may hold: rows hold int64 codes
 _MAX_CODE = int(np.iinfo(np.int64).max)
 
@@ -119,26 +118,21 @@ def _width(detectors) -> int:
 
 
 def _check_width(codes: np.ndarray, width: int) -> None:
-    if codes.shape[1] < width:
-        raise SchemaError(f"row has {codes.shape[1]} codes, model needs at least {width}")
+    if codes.shape[-1] < width:
+        raise SchemaError(f"row has {codes.shape[-1]} codes, model needs at least {width}")
 
 
-def _vote(layout: _Layout, codes: np.ndarray) -> list[float]:
-    """Score every row of a 2-D code array, one row at a time.
-
-    Each row's score adds the weights of the accepting detectors in
-    detector order, starting from 0.0.
-    """
+def _vote(layout: _Layout, row) -> float:
+    """Score one row: the weights of the accepting detectors added in
+    detector order, starting from 0.0. The row's codes are read as int64."""
+    codes = np.asarray(row, dtype=np.int64).ravel()
     _check_width(codes, layout.width)
-    scores = []
-    for lo in range(0, codes.shape[0], _BLOCK_ROWS):
-        for row in codes[lo:lo + _BLOCK_ROWS].tolist():
-            s = 0.0
-            for cell_of, cells, w in layout.parts:
-                if cell_of(row) in cells:
-                    s += w
-            scores.append(s)
-    return scores
+    row = codes.tolist()
+    s = 0.0
+    for cell_of, cells, w in layout.parts:
+        if cell_of(row) in cells:
+            s += w
+    return s
 
 
 def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
@@ -173,13 +167,9 @@ def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _one_row(row) -> np.ndarray:
-    return np.asarray(row, dtype=np.int64).reshape(1, -1)
-
-
 def detector_predict(detector: SubspaceDetector, row) -> int:
     """1 if the row's projection falls in the accepted region, else 0."""
-    return int(_vote(_Layout.of([detector], [1.0]), _one_row(row))[0])
+    return int(_vote(_Layout.of([detector], [1.0]), row))
 
 
 def _require(doc, name: str, kind, where: str):
@@ -265,7 +255,7 @@ class EnsembleModel:
         return _Layout.of(self.detectors, self.weights)
 
     def score(self, row) -> float:
-        return _vote(self._layout, _one_row(row))[0]
+        return _vote(self._layout, row)
 
     def to_json_dict(self) -> dict:
         dets = []

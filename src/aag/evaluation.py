@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,20 +84,13 @@ def _write_raw_csv(table: RawTable, path) -> None:
 
 
 def _majority_value(column: RawColumn):
-    values = column.values
-    counts: dict = {}
-    order = []
-    for v in values:
-        key = None if (column.kind == NUMERIC and np.isnan(v)) or v is None else v
-        if key is None:
-            continue
-        if key not in counts:
-            counts[key] = 0
-            order.append(key)
-        counts[key] += 1
+    if column.kind == NUMERIC:
+        counts = Counter(v for v in column.values if not np.isnan(v))
+    else:
+        counts = Counter(v for v in column.values if v is not None)
     if not counts:
         raise GenerationError("class column has no usable values")
-    return max(order, key=lambda k: counts[k])  # first occurrence wins ties
+    return max(counts, key=counts.__getitem__)  # first occurrence wins ties
 
 
 def _class_mask(column: RawColumn, value) -> np.ndarray:

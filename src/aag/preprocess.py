@@ -82,10 +82,14 @@ def load_csv(
     numbers (``inf``, ``-inf``, ``nan``, or a value too large for a float)
     count as missing too, so they are imputed with the training mean; in
     a categorical column they are ordinary symbols. Header names must be
-    distinct: a repeated name raises ParseError.
+    distinct: a repeated name raises ParseError, as does a file that is
+    not UTF-8.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh, delimiter=delimiter))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
     if not rows:
         raise ParseError(f"{path}: empty file")
     if header:
@@ -174,6 +178,8 @@ class PreprocessModel:
     def from_json_dict(cls, doc: dict) -> "PreprocessModel":
         """Read the document; a field that could not come from a fit raises
         ValueError (KeyError or TypeError when it is missing or not a dict)."""
+        if type(doc["columns"]) is not list or not doc["columns"]:
+            raise ValueError("'columns' must be a non-empty list")  # a fit has a column
         cols = []
         for c in doc["columns"]:
             name = c["name"]
@@ -266,18 +272,11 @@ def fit_preprocessor(train: RawTable, bins: int = 10) -> PreprocessModel:
                 edges=_equal_frequency_edges(present, bins),
             ))
         else:
-            present = [v for v in col.values if v is not None]
-            if not present:
+            counts = Counter(v for v in col.values if v is not None)
+            if not counts:
                 raise UnusableColumnError(f"column {col.name!r} has no usable values")
-            symbols: list[str] = []
-            counts: dict[str, int] = {}
-            for v in present:
-                if v not in counts:
-                    counts[v] = 0
-                    symbols.append(v)
-                counts[v] += 1
-            mode = max(symbols, key=lambda s: counts[s])  # first occurrence wins ties
-            models.append(ColumnModel(col.name, CATEGORICAL, mode=mode, symbols=symbols))
+            mode = max(counts, key=counts.__getitem__)  # first occurrence wins ties
+            models.append(ColumnModel(col.name, CATEGORICAL, mode=mode, symbols=list(counts)))
     return PreprocessModel(columns=models, bins=bins)
 
 
@@ -318,14 +317,8 @@ def apply_preprocessor(model: PreprocessModel, data: RawTable) -> DiscreteTable:
             names.append([f"bin{k}" for k in range(cm.arity)])
         else:
             lookup = {s: i for i, s in enumerate(cm.symbols)}
+            lookup[None] = lookup[cm.mode]  # a missing cell takes the mode
             unknown = len(cm.symbols)
-            mode_code = lookup[cm.mode]
-            out = np.empty(data.n_rows, dtype=np.int64)
-            for r, v in enumerate(col.values):
-                if v is None:
-                    out[r] = mode_code
-                else:
-                    out[r] = lookup.get(v, unknown)
-            coded[:, j] = out
+            coded[:, j] = [lookup.get(v, unknown) for v in col.values]
             names.append(list(cm.symbols) + ["<unknown>"])
     return DiscreteTable(coded, symbol_names=names)

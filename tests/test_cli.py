@@ -161,6 +161,24 @@ class TestTrainAndScore:
         assert "'preprocess'" in err
         assert "internal error" not in err
 
+    def test_input_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, grouped_csv, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(grouped_csv.read_bytes() + b"\xff,1,2,3,4,5,x\n")
+        code = run("train", "--input", bad, "--output", tmp_path / "model.json")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "latin1.csv: not UTF-8" in err
+
+    def test_model_that_is_not_utf8_exits_2(self, tmp_path, grouped_csv, capsys):
+        model_path = tmp_path / "model.json"
+        assert run("train", "--input", grouped_csv, "--output", model_path) == 0
+        model_path.write_bytes(model_path.read_bytes().replace(b'"alpha"', b'"\xffalpha"'))
+        code = run("score", "--input", grouped_csv, "--model", model_path,
+                   "--output", tmp_path / "s.csv")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "model file is not UTF-8" in err
+
     def test_malformed_model_exits_2_naming_field(self, tmp_path, grouped_csv, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"alpha": 0.05}', encoding="utf-8")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from aag import ensemble
 from aag.ensemble import (
     EnsembleModel,
     SubspaceDetector,
@@ -251,6 +250,9 @@ class TestModelFileValidation:
         (lambda d: d["detectors"][1].update(accepted=[[0, -1]]), "accepted"),
         (lambda d: d["detectors"].__setitem__(0, [0]), "attrs"),
         (lambda d: d.update(preprocess={"bins": 10}), "preprocess"),
+        (lambda d: d.update(preprocess={"bins": 10, "columns": {}}), "preprocess"),
+        (lambda d: d.update(preprocess={"bins": 10, "columns": []}), "preprocess"),
+        (lambda d: d.update(preprocess={"bins": 10, "columns": "ab"}), "preprocess"),
         (lambda d: d["weights"].__setitem__(0, float("nan")), "weights"),
         (lambda d: d["weights"].__setitem__(1, float("inf")), "weights"),
         (lambda d: d["weights"].__setitem__(1, 10**400), "weights"),
@@ -286,7 +288,7 @@ def vote_cases(draw):
     One subspace spans at least 24 attributes of arity at least 8, so its
     cell space exceeds 2^63. Half the score rows repeat fit rows; the rest
     draw codes up to two past each fit arity, so some cells are unseen.
-    Score tables may span several row blocks.
+    Score tables may hold over 2 000 rows.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_attrs = draw(st.integers(24, 30))
@@ -300,7 +302,7 @@ def vote_cases(draw):
         size = draw(st.integers(1, 4))
         subspaces.append(tuple(sorted(rng.choice(n_attrs, size=size, replace=False).tolist())))
     alpha = draw(st.floats(0.01, 0.5))
-    n_score = draw(st.integers(1, 60) | st.integers(ensemble._BLOCK_ROWS - 2, ensemble._BLOCK_ROWS + 300))
+    n_score = draw(st.integers(1, 60) | st.integers(2046, 2348))
     score = rng.integers(0, arities + 2, size=(n_score, n_attrs))
     copied = rng.random(n_score) < 0.5  # fit rows, which the wide subspace mostly accepts
     score[copied] = fit[rng.integers(0, n_fit, size=int(copied.sum()))]
@@ -372,13 +374,12 @@ def table_kernel_cases(draw):
     accepted list may be empty. Weights mix 0.0 and -0.0 with nonzero
     weights of several magnitudes, so a sum in another order would differ
     in the last bit. Score rows and accepted cells may hold codes near
-    2**62 and codes past every other row's; score tables may span
-    several row blocks.
+    2**62 and codes past every other row's; score tables may hold over
+    2 000 rows.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_attrs = int(rng.integers(2, 7))
-    n_score = draw(st.integers(1, 40) | st.integers(ensemble._BLOCK_ROWS - 2,
-                                                    ensemble._BLOCK_ROWS + 200))
+    n_score = draw(st.integers(1, 40) | st.integers(2046, 2248))
     codes = rng.integers(0, rng.integers(1, 5, size=n_attrs), size=(n_score, n_attrs))
     if draw(st.booleans()):
         codes[rng.random(codes.shape) < 0.05] = HUGE
@@ -454,7 +455,7 @@ class TestTableKernel:
         with pytest.raises(SchemaError, match="model needs at least 4"):
             classify_table(model, table)
         with pytest.raises(SchemaError, match="model needs at least 4"):
-            ensemble._vote(model._layout, table.codes)
+            model.score((0, 0, 0))
         with pytest.raises(SchemaError, match="model needs at least 4"):
             classify(model, (0, 0, 0))
 
