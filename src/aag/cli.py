@@ -1,6 +1,12 @@
 """Command-line front end for subspace discovery, training, and scoring.
-Exit codes: 0 success, 1 usage error, 2 data or schema error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 a flag the parser refuses, 2 input a command
+cannot use, 3 internal invariant violation.
+
+The parser checks every flag value, so a command that starts has valid
+parameters and any failure it raises comes from its input: an
+``AagError``, an ``OSError``, or a ``ValueError`` the library raises when
+a table cannot be used (too few rows or attributes, an empty table).
+Each exits 2.
 
 A command runs with Python's cyclic garbage collector paused. The data a
 command builds (cell tuples, lists of codes, parsed JSON) holds no
@@ -63,6 +69,7 @@ def _checked(convert, ok, rule):
 
 _FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _SHARE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_DELIMITER = _checked(str, lambda v: len(v) == 1, "one character")
 
 
 def _at_least(low: int):
@@ -79,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", required=True, help="output file")
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--delimiter", default=",")
+        p.add_argument("--delimiter", type=_DELIMITER, default=",")
         p.add_argument("--missing-marker", action="append", default=None,
                        help="missing-value marker (repeatable; default: empty and '?')")
 
@@ -87,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=_FRACTION, default=0.05)
         p.add_argument("--bins", type=_at_least(2), default=10)
         p.add_argument("--cap", type=int, choices=(2, 3), default=3)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--val-fraction", type=_FRACTION, default=0.3)
         p.add_argument("--include-singletons", action="store_true")
 
@@ -100,11 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_fit_params(p)
 
     p = sub.add_parser("score", help="score rows with a trained ensemble")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--missing-marker", action="append", default=None)
+    add_io(p, model=True)
 
     p = sub.add_parser("bench", help="run a benchmark setting end to end")
     add_io(p)
@@ -250,12 +253,11 @@ def main(argv=None) -> int:
     gc.disable()  # the commands build no cycles; see the module docstring
     try:
         return COMMANDS[args.command](args)
-    except (AagError, OSError) as exc:
+    except (AagError, OSError, ValueError) as exc:
+        # The parser has checked every flag, so a ValueError here is the
+        # library saying that the input cannot be used.
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except Exception as exc:  # invariant violation; report and flag as internal
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

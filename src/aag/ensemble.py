@@ -42,7 +42,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import SchemaError
-from .preprocess import PreprocessModel
+from .preprocess import PreprocessModel, _is_finite_number
 from .table import _KEYS_PER_ROW, DiscreteTable, _joint_key, validate_attrs
 
 NORMAL = "normal"
@@ -189,13 +189,9 @@ def _only(values, *types) -> bool:
 
 def _finite(value, what: str) -> float:
     """A number read from a model file as a float, or a SchemaError naming ``what``."""
-    try:
-        value = float(value)
-    except OverflowError:  # an int literal too large for a float
-        value = math.inf
-    if not math.isfinite(value):
+    if not _is_finite_number(value):
         raise SchemaError(f"{what} must be finite")
-    return value
+    return float(value)
 
 
 def _code_row(row, width: int, what: str) -> tuple[int, ...]:

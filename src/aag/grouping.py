@@ -167,12 +167,24 @@ def run_aag(
                 seen.add(attrs)
                 recorded.append(Subspace(attrs, level))
 
+    def unify(kind: str, a: Attrs, b: Attrs, d: float,
+              alt: Attrs | None = None, alt_measure: float | None = None) -> Attrs | None:
+        """The union of a and b if the pruning rule keeps it, else None;
+        either way the decision is recorded as a ``kind`` event."""
+        nonlocal merged_any
+        if not _should_unify(tc, a, b, t):
+            events.append(MergeEvent(t, f"{kind}-pruned", a, b, None, d, alt, alt_measure))
+            return None
+        u = _union(a, b)
+        merged_any = True
+        events.append(MergeEvent(t, kind, a, b, u, d, alt, alt_measure))
+        return u
+
     while True:
         record_level(current, t)
         if len(current) < 2:
             break
         frozen = list(current)
-        nxt: list[Attrs] = []
         merged_any = False
 
         # seed the next level with the globally closest pair
@@ -183,14 +195,8 @@ def run_aag(
         d_seed, (a, b) = best
         current.remove(a)
         current.remove(b)
-        u = _union(a, b)
-        if _should_unify(tc, a, b, t):
-            if u not in nxt:
-                nxt.append(u)
-            merged_any = True
-            events.append(MergeEvent(t, "seed", a, b, u, d_seed))
-        else:
-            events.append(MergeEvent(t, "seed-pruned", a, b, None, d_seed))
+        u = unify("seed", a, b, d_seed)
+        nxt: list[Attrs] = [] if u is None else [u]
 
         # consume the rest of the level
         while current and nxt:
@@ -207,29 +213,19 @@ def run_aag(
                 current.remove(a_i)
                 if a_k in current:
                     current.remove(a_k)
-                u = _union(a_i, a_k)
-                if _should_unify(tc, a_i, a_k, t):
-                    if u not in nxt:
-                        nxt.append(u)
-                    merged_any = True
-                    events.append(MergeEvent(t, "merge", a_i, a_k, u, d_pair, a_j, d_grow))
-                else:
-                    events.append(MergeEvent(t, "merge-pruned", a_i, a_k, None, d_pair, a_j, d_grow))
+                u = unify("merge", a_i, a_k, d_pair, a_j, d_grow)
+                if u is not None and u not in nxt:
+                    nxt.append(u)
             else:
                 # absorb a_i into the next-level subspace a_j
                 current.remove(a_i)
-                u = _union(a_i, a_j)
-                if _should_unify(tc, a_i, a_j, t):
-                    if u != a_j:
-                        idx = nxt.index(a_j)
-                        if u in nxt:
-                            nxt.pop(idx)  # grown form already present elsewhere
-                        else:
-                            nxt[idx] = u
-                    merged_any = True
-                    events.append(MergeEvent(t, "grow", a_i, a_j, u, d_grow, a_k, d_pair))
-                else:
-                    events.append(MergeEvent(t, "grow-pruned", a_i, a_j, None, d_grow, a_k, d_pair))
+                u = unify("grow", a_i, a_j, d_grow, a_k, d_pair)
+                if u is not None and u != a_j:
+                    idx = nxt.index(a_j)
+                    if u in nxt:
+                        nxt.pop(idx)  # grown form already present elsewhere
+                    else:
+                        nxt[idx] = u
 
         if current:
             # pruning emptied the next level before the loop could run

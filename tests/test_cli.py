@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aag
 from aag import cli
@@ -273,14 +275,104 @@ class TestUsageErrors:
         ("--repeats", 1, "stability"), ("--repeats", 0, "stability"),
         ("--fraction", 0, "bench"), ("--fraction", 1.5, "bench"), ("--fraction", "nan", "bench"),
         ("--minority-fraction", 0, "bench"), ("--minority-fraction", 2, "bench"),
+        *(("--seed", -1, command) for command in ("subspaces", "train", "bench", "stability")),
+        *(("--delimiter", value, command)
+          for command in ("subspaces", "train", "score", "bench", "stability")
+          for value in (";;", "")),
     ])
     def test_bad_fit_parameter_exits_1_before_reading_input(self, tmp_path, capsys,
                                                             command, flag, value):
-        extra = ["--class-column", "class", "--setting", 1] if command == "bench" else []
+        extra = {"bench": ["--class-column", "class", "--setting", 1],
+                 "score": ["--model", tmp_path / "absent.json"]}.get(command, [])
         code = run(command, "--input", tmp_path / "absent.csv", "--output", tmp_path / "out",
                    *extra, flag, value)
         assert code == 1
         assert f"argument {flag}" in capsys.readouterr().err
+
+
+def _csv_lines(n_rows, n_cols):
+    """The header and first ``n_rows`` rows of a two-class CSV, last ``n_cols`` columns only."""
+    lines = two_class_csv_text(n_majority=200, n_minority=60, seed=6).splitlines()
+    return "".join(",".join(line.split(",")[-n_cols:]) + "\n" for line in lines[:n_rows + 1])
+
+
+class TestDataFaults:
+    """Input a command cannot use exits 2 naming the cause, whatever the library raises."""
+
+    @pytest.mark.parametrize("command,text,extra,cause", [
+        ("train", _csv_lines(9, 7), [], "need at least 10 training rows"),
+        ("train", _csv_lines(260, 1), [], "grouping needs at least two attributes"),
+        ("subspaces", _csv_lines(260, 1), [], "grouping needs at least two attributes"),
+        ("stability", _csv_lines(260, 1), ["--repeats", 2],
+         "grouping needs at least two attributes"),
+        ("train", "\n\n", [], "training table is empty"),
+        ("bench", _csv_lines(260, 1), ["--class-column", "class", "--setting", 3,
+                                       "--repeats", 1], "training table is empty"),
+    ], ids=["nine-rows", "one-column-train", "one-column-subspaces", "one-column-stability",
+            "blank-header", "only-the-class-column"])
+    def test_unusable_input_exits_2_naming_the_cause(self, tmp_path, capsys,
+                                                      command, text, extra, cause):
+        data = tmp_path / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        code = run(command, "--input", data, "--output", tmp_path / "out", *extra)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert cause in err
+        assert "internal error" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def _small_csv_text():
+    return two_class_csv_text(n_majority=24, n_minority=8, group_sizes=(2, 2), seed=0)
+
+
+@st.composite
+def mutated_csvs(draw):
+    """The small valid CSV with one to three faults drawn into it."""
+    rows = [line.split(",") for line in _small_csv_text().splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(("truncate", "drop-column", "blank-header", "cell",
+                                      "repeat-row")))
+        data = rows[1:]
+        if fault == "truncate":
+            rows = rows[:1 + draw(st.integers(0, len(data)))]
+        elif fault == "drop-column" and rows[0]:
+            j = draw(st.integers(0, len(rows[0]) - 1))
+            rows = [row[:j] + row[j + 1:] for row in rows]
+        elif fault == "blank-header":
+            rows = [[], *data]
+        elif fault == "cell" and data:
+            row = data[draw(st.integers(0, len(data) - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(("", "?", "nan", "1e999", "text")))
+        elif fault == "repeat-row" and data:
+            repeated = data[draw(st.integers(0, len(data) - 1))]
+            rows = [rows[0], *(list(repeated) for _ in data)]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.fixture(scope="module")
+def fault_dir(tmp_path_factory):
+    """A directory holding a model trained on the unmutated CSV."""
+    path = tmp_path_factory.mktemp("faults")
+    clean = path / "clean.csv"
+    clean.write_text(_small_csv_text(), encoding="utf-8")
+    assert run("train", "--input", clean, "--output", path / "model.json") == 0
+    return path
+
+
+@settings(max_examples=50)
+@given(text=mutated_csvs())
+def test_a_mutated_csv_exits_0_or_2_from_every_command(fault_dir, text):
+    data = fault_dir / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    out = fault_dir / "out"
+    for command in (["subspaces"], ["train"], ["score", "--model", fault_dir / "model.json"],
+                    ["bench", "--class-column", "class", "--setting", 1, "--repeats", 1],
+                    ["bench", "--class-column", "class", "--setting", 3, "--repeats", 1],
+                    ["stability", "--repeats", 2]):
+        code = run(*command, "--input", data, "--output", out)
+        assert code in (0, 2), (command, code)
 
 
 class TestCsvHeaders:

@@ -23,7 +23,8 @@ the median and IQR of the per-round change/parent ratio. One-row
 ``classify`` keeps each sampled row's fastest call; p50 and p99 are
 taken per table and averaged over the tables, as the benchmark does.
 Counters (subspaces, detectors, cells, model bytes) are sums over each
-side's output files.
+side's output files, read through that side's own ``aag``, so only the
+library knows the model file's layout.
 
 The report is written in any case; exits 1 if any output differs or any
 command fails.
@@ -152,16 +153,20 @@ def phases(t: SimpleNamespace) -> dict:
     }
 
 
-def counters(outs: list[Path]) -> dict:
-    """Sums over a side's output files of one workload."""
-    models = [json.loads((out / OUTPUTS[1]).read_bytes()) for out in outs]
-    detectors = [d for m in models for d in m["detectors"]]
+def counters(aag, outs: list[Path]) -> dict:
+    """Sums over a side's output files of one workload, each read by that side's ``aag``."""
+    def read(out: Path, file: str) -> str:
+        return (out / file).read_text(encoding="utf-8")
+
+    models = [aag.EnsembleModel.from_json(read(out, OUTPUTS[1])) for out in outs]
+    detectors = [d for m in models for d in m.detectors]
     return {
-        "subspaces": sum(len(json.loads((out / OUTPUTS[0]).read_bytes())["subspaces"]) for out in outs),
+        "subspaces": sum(len(aag.SubspaceSet.from_json(read(out, OUTPUTS[0])).subspaces)
+                         for out in outs),
         "detectors": len(detectors),
-        "zero_weight_detectors": sum(w == 0.0 for m in models for w in m["weights"]),
-        "cells": sum(len(d["cells"]) for d in detectors),
-        "accepted_cells": sum(len(d["accepted"]) for d in detectors),
+        "zero_weight_detectors": sum(int((m.weights == 0.0).sum()) for m in models),
+        "cells": sum(len(d.cell_mass) for d in detectors),
+        "accepted_cells": sum(len(d.accepted_cells) for d in detectors),
         "model_bytes": sum((out / OUTPUTS[1]).stat().st_size for out in outs),
     }
 
@@ -223,8 +228,9 @@ def run_workload(aags: dict, workload, seed: int, tmp: Path, clock, report: dict
     return {
         "phases": {name: summary(per_side) for name, per_side in time_phases(calls, clock).items()},
         "classify": {side: p50_p99([sides[side].fastest for sides in tables]) for side in SIDES},
-        "counters": {side: counters([tmp / workload.name / f"t{k}" / side
-                                     for k in range(workload.instances)]) for side in SIDES},
+        "counters": {side: counters(aag, [tmp / workload.name / f"t{k}" / side
+                                          for k in range(workload.instances)])
+                     for side, aag in aags.items()},
     }
 
 
