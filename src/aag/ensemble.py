@@ -26,8 +26,16 @@ a BLAS sum that can differ from the detector-order sum in the last bit.
 Models are immutable once fitted; scoring is reentrant and safe to call
 from multiple threads.
 
-``model.json`` is one line of compact JSON with sorted keys; indented files
-from earlier versions still load.
+``model.json`` is one line of compact JSON with sorted keys. A fitted
+detector is written in the count layout: its cells ranked by descending
+training count (ties in tuple order), their codes row by row in one flat
+list, their counts, and the length of the accepted prefix. Its masses are
+read back as ``count / sum(counts)``, the division ``fit_detector`` makes,
+so they are the same floats. A detector whose live cells do not fit that
+layout (built through the API or edited after the fit) is written in the
+explicit layout, ``[cell, mass]`` pairs and the list of accepted cells,
+which is also how earlier versions wrote every detector; both layouts and
+earlier indented files load.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -50,6 +59,8 @@ ANOMALY = "anomaly"
 
 # the largest code a model file may hold: rows hold int64 codes
 _MAX_CODE = int(np.iinfo(np.int64).max)
+# the count layout holds fit row counts below this, which float64 holds exactly
+_MAX_EXACT = 2**53
 
 
 @dataclass
@@ -58,6 +69,7 @@ class SubspaceDetector:
     cell_mass: dict[tuple[int, ...], float]
     accepted_cells: set[tuple[int, ...]]
     alpha: float
+    fit_rows: int | None = None  # the rows it was fitted on; each mass is count / fit_rows
 
 
 def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetector:
@@ -85,7 +97,7 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
     covered_before = np.cumsum(ranked) - ranked
     n_accepted = int(np.count_nonzero(covered_before < (1.0 - alpha) * n - 1e-9))
     accepted = {keys[i] for i in order[:n_accepted].tolist()}
-    return SubspaceDetector(subspace, cell_mass, accepted, alpha)
+    return SubspaceDetector(subspace, cell_mass, accepted, alpha, n)
 
 
 def _cell_getter(subspace) -> Callable[[list], tuple]:
@@ -178,7 +190,7 @@ def _require(doc, name: str, kind, where: str):
         raise SchemaError(f"{where} has no field '{name}'")
     value = doc[name]
     if isinstance(value, bool) or not isinstance(value, kind):
-        what = "a list" if kind is list else "a number"
+        what = {list: "a list", int: "an integer"}.get(kind, "a number")
         raise SchemaError(f"{where} field '{name}' must be {what}")
     return value
 
@@ -204,15 +216,32 @@ def _code_row(row, width: int, what: str) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
-    """One detector of a model file, its cells checked in one pass each."""
-    where = f"model detector {i}"
-    attrs = _require(d, "attrs", list, where)
-    if not attrs or not _only(attrs, int) or min(attrs) < 0:
-        raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
+def _counted_cells(d, width: int, where: str):
+    """The cells of a count-layout detector: (cell_mass, accepted_cells, fit_rows)."""
+    cells = _require(d, "cells", list, where)
+    counts = _require(d, "counts", list, where)
+    k = _require(d, "accepted", int, where)
+    if not _only(counts, int) or (counts and min(counts) < 1):
+        raise SchemaError(f"{where} field 'counts' must hold integers of at least 1")
+    if (len(cells) != width * len(counts) or not _only(cells, int)
+            or (cells and not 0 <= min(cells) <= max(cells) <= _MAX_CODE)):
+        raise SchemaError(f"{where} field 'cells' must hold {width} codes in [0, 2^63) "
+                          f"for each of the {len(counts)} counts")
+    if not 0 <= k <= len(counts):
+        raise SchemaError(f"{where} field 'accepted' must be a number of cells "
+                          f"in [0, {len(counts)}]")
+    n = sum(counts)
+    keys = list(zip(*[iter(cells)] * width))  # the flat codes, width at a time
+    cell_mass = dict(zip(keys, [c / n for c in counts]))
+    if len(cell_mass) != len(keys):
+        raise SchemaError(f"{where} field 'cells' lists a cell twice")
+    return cell_mass, set(keys[:k]), n
+
+
+def _listed_cells(d, width: int, where: str):
+    """The cells of an explicit-layout detector: (cell_mass, accepted_cells, None)."""
     cells = _require(d, "cells", list, where)
     accepted = _require(d, "accepted", list, where)
-    width = len(attrs)
     in_cells, in_accepted = f"{where} field 'cells'", f"{where} field 'accepted'"
     cell_mass = {}
     try:
@@ -229,12 +258,69 @@ def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
         finite = False
     if not finite:
         raise SchemaError(f"{in_cells} must hold finite masses")
-    return SubspaceDetector(
-        subspace=tuple(attrs),
-        cell_mass=cell_mass,
-        accepted_cells={_code_row(key, width, in_accepted) for key in accepted},
-        alpha=alpha,
-    )
+    if len(cell_mass) != len(cells):
+        raise SchemaError(f"{in_cells} lists a cell twice")
+    accepted_cells = {_code_row(key, width, in_accepted) for key in accepted}
+    if len(accepted_cells) != len(accepted):
+        raise SchemaError(f"{in_accepted} lists a cell twice")
+    return cell_mass, accepted_cells, None
+
+
+def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
+    """One detector of a model file in either layout, its cells checked in one pass each."""
+    where = f"model detector {i}"
+    attrs = _require(d, "attrs", list, where)
+    if not attrs or not _only(attrs, int) or min(attrs) < 0:
+        raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
+    # 'counts' or an int 'accepted' marks the count layout, so a count-layout
+    # detector missing either field is refused naming it
+    read = _counted_cells if "counts" in d or type(d.get("accepted")) is int else _listed_cells
+    cell_mass, accepted_cells, fit_rows = read(d, len(attrs), where)
+    return SubspaceDetector(tuple(attrs), cell_mass, accepted_cells, alpha, fit_rows)
+
+
+def _count_layout(d: SubspaceDetector) -> dict | None:
+    """The detector in the count layout, or None when its live cells do not fit it.
+
+    They fit when every mass is ``count / fit_rows`` for an int count of at
+    least 1, the counts sum to ``fit_rows``, every code is an int in
+    [0, 2^63), and the accepted cells are the prefix of the cells ranked by
+    descending count, ties in tuple order.
+    """
+    n = d.fit_rows
+    keys = list(d.cell_mass)
+    width = len(d.subspace)
+    if n is None or not 0 < n < _MAX_EXACT or set(map(len, keys)) - {width}:
+        return None
+    # numpy reads a list as int64 only when every code is an int within int64
+    codes = np.array(list(chain.from_iterable(keys)))
+    masses = np.array(list(d.cell_mass.values()))
+    if codes.dtype != np.int64 or masses.dtype != np.float64 or (codes < 0).any():
+        return None
+    counts = np.rint(masses * n)
+    if not ((1 <= counts) & (counts <= n)).all():
+        return None
+    # int64 / int divides as Python's int / int does below 2^53: the masses fit_detector made
+    counts = counts.astype(np.int64)
+    if counts.sum() != n or not np.array_equal(counts / n, masses):
+        return None
+    codes = codes.reshape(-1, width)
+    order = np.lexsort((*codes.T[::-1], -counts))  # the last key sorts first
+    k = len(d.accepted_cells)
+    if k > len(keys) or not all(map(d.accepted_cells.__contains__,
+                                    map(keys.__getitem__, order[:k].tolist()))):
+        return None
+    return {"attrs": list(d.subspace), "cells": codes[order].ravel().tolist(),
+            "counts": counts[order].tolist(), "accepted": k}
+
+
+def _explicit_layout(d: SubspaceDetector) -> dict:
+    """The detector as ``[cell, mass]`` pairs and its accepted cells, each in tuple order."""
+    return {
+        "attrs": list(d.subspace),
+        "cells": [[list(key), mass] for key, mass in sorted(d.cell_mass.items())],
+        "accepted": [list(key) for key in sorted(d.accepted_cells)],
+    }
 
 
 @dataclass
@@ -254,19 +340,12 @@ class EnsembleModel:
         return _vote(self._layout, row)
 
     def to_json_dict(self) -> dict:
-        dets = []
-        for d in self.detectors:
-            cells = sorted(d.cell_mass.items())
-            dets.append({
-                "attrs": list(d.subspace),
-                "cells": [[list(key), mass] for key, mass in cells],
-                "accepted": [list(key) for key in sorted(d.accepted_cells)],
-            })
+        """The model document; each detector in the count layout when its cells fit it."""
         doc = {
             "alpha": self.alpha,
             "rho": self.rho,
             "weights": [float(w) for w in self.weights],
-            "detectors": dets,
+            "detectors": [_count_layout(d) or _explicit_layout(d) for d in self.detectors],
         }
         if self.preprocess is not None:
             doc["preprocess"] = self.preprocess.to_json_dict()

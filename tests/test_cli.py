@@ -375,6 +375,81 @@ def test_a_mutated_csv_exits_0_or_2_from_every_command(fault_dir, text):
         assert code in (0, 2), (command, code)
 
 
+@pytest.fixture(scope="module")
+def model_docs(fault_dir):
+    """The fault_dir model's document in the count layout, and in the explicit one."""
+    text = (fault_dir / "model.json").read_text(encoding="utf-8")
+    model = aag.EnsembleModel.from_json(text)
+    for d in model.detectors:
+        d.fit_rows = None  # a detector without its fit row count is written explicitly
+    docs = {"count": json.loads(text), "explicit": model.to_json_dict()}
+    assert [set(d) for d in docs["count"]["detectors"]] == [
+        {"attrs", "cells", "counts", "accepted"}] * len(model.detectors)
+    return docs
+
+
+BAD_CODES = (-1, 2**63, 1.5, True, "0", None)
+
+
+@st.composite
+def mutated_models(draw, docs):
+    """A model document of either layout with one to three faults drawn into it."""
+    layout = draw(st.sampled_from(sorted(docs)))
+    doc = json.loads(json.dumps(docs[layout]))
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(("drop", "retype", "code", "count", "accepted",
+                                      "truncate", "repeat")))
+        dets = doc.get("detectors")
+        dets = [d for d in dets if isinstance(d, dict)] if isinstance(dets, list) else []
+        target = draw(st.sampled_from([doc, *dets]))
+        if fault in ("drop", "retype"):
+            if target:
+                key = draw(st.sampled_from(sorted(target)))
+                if fault == "drop":
+                    del target[key]
+                else:
+                    target[key] = draw(st.sampled_from(("x", [], {}, 1.5, True, None, -1)))
+            continue
+        cells, counts = target.get("cells"), target.get("counts")
+        if not isinstance(cells, list) or not cells:
+            continue
+        j = draw(st.integers(0, len(cells) - 1))
+        if fault == "code":
+            bad = draw(st.sampled_from(BAD_CODES))
+            if isinstance(cells[j], list) and cells[j] and isinstance(cells[j][0], list):
+                cells[j][0][0] = bad  # [cell, mass]
+            else:
+                cells[j] = bad
+        elif fault == "count":
+            if isinstance(counts, list) and counts:
+                counts[j % len(counts)] = draw(st.sampled_from((0, -1, 2.5, True)))
+            elif isinstance(cells[j], list) and len(cells[j]) == 2:
+                cells[j][1] = draw(st.sampled_from((0.0, -1.0, float("nan"), 10**400, "x")))
+        elif fault == "accepted":
+            n_cells = len(counts) if isinstance(counts, list) else len(cells)
+            target["accepted"] = draw(st.sampled_from((-1, n_cells + 1, [0], [[0]], 2.0)))
+        elif fault == "truncate":
+            target["cells"] = cells[:j]
+        elif fault == "repeat":  # the first cell in place of the second
+            if isinstance(counts, list) and len(counts) > 1:
+                width = len(cells) // len(counts)
+                cells[width:2 * width] = cells[:width]
+            else:
+                cells[-1] = cells[0]
+    return doc
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_mutated_model_exits_0_or_2_from_score(fault_dir, model_docs, data):
+    doc = data.draw(mutated_models(model_docs))
+    model_path = fault_dir / "mutated.json"
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run("score", "--input", fault_dir / "clean.csv", "--model", model_path,
+               "--output", fault_dir / "mutated_scores.csv")
+    assert code in (0, 2), doc
+
+
 class TestCsvHeaders:
     def test_duplicate_class_column_exits_2_naming_it(self, tmp_path, grouped_csv, capsys):
         lines = grouped_csv.read_text(encoding="utf-8").splitlines()

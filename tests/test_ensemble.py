@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,11 +221,48 @@ class TestEnsembleSerialization:
         assert EnsembleModel.from_json(indented).to_json_dict() == doc
 
 
+# A small fit with unequal masses, a rejected cell and ties in rank.
+PINNED_ROWS = [[0, 1]] * 6 + [[1, 1]] * 5 + [[1, 0]] * 3 + [[2, 0]] * 2 + [[0, 2], [2, 2]]
+# ... as the explicit layout wrote it, before the count layout existed
+PINNED_EXPLICIT = (
+    '{"alpha":0.1,"detectors":[{"accepted":[[0],[1],[2]],"attrs":[0],"cells":[[[0],'
+    '0.3076923076923077],[[1],0.46153846153846156],[[2],0.23076923076923078]]},{"accepted":'
+    '[[0,1],[0,2],[1,0],[1,1],[2,0]],"attrs":[0,1],"cells":[[[0,1],0.23076923076923078],'
+    '[[0,2],0.07692307692307693],[[1,0],0.15384615384615385],[[1,1],0.3076923076923077],'
+    '[[2,0],0.15384615384615385],[[2,2],0.07692307692307693]]}],"rho":1.0,"weights":[0.5,0.5]}\n'
+)
+# ... and in the count layout: (1, 0) ranks before (2, 0), and (0, 2) before
+# the rejected (2, 2), ties in tuple order
+PINNED_COUNT = (
+    '{"alpha":0.1,"detectors":[{"accepted":3,"attrs":[0],"cells":[1,0,2],"counts":[6,4,3]},'
+    '{"accepted":5,"attrs":[0,1],"cells":[1,1,0,1,1,0,2,0,0,2,2,2],"counts":[4,3,2,2,1,1]}],'
+    '"rho":1.0,"weights":[0.5,0.5]}\n'
+)
+
+
+def pinned_model():
+    return fit_ensemble(table_from_rows(PINNED_ROWS), [(0,), (0, 1)], alpha=0.1, seed=0)
+
+
+def detector_fields(model):
+    return [(d.subspace, d.cell_mass, d.accepted_cells, d.alpha) for d in model.detectors]
+
+
+def repeat_first_cell(det):
+    """Lists a count-layout detector's first cell twice, in place of its second."""
+    width = len(det["attrs"])
+    det["cells"][width:2 * width] = det["cells"][:width]
+
+
 class TestModelFileValidation:
     @staticmethod
     def doc():
-        t = table_from_rows([[0, 1], [1, 1]] * 6)
-        return fit_ensemble(t, [(0,), (0, 1)], alpha=0.1, seed=0).to_json_dict()
+        """The pinned fit in the explicit layout, as earlier versions wrote it."""
+        return json.loads(PINNED_EXPLICIT)
+
+    @staticmethod
+    def count_doc():
+        return pinned_model().to_json_dict()
 
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d.pop("detectors"), "detectors"),
@@ -263,12 +301,72 @@ class TestModelFileValidation:
         (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, float("inf")), "cells"),
         (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, 10**400), "cells"),
         (lambda d: d["detectors"][1].update(accepted=[[0, 2**63]]), "accepted"),
+        (lambda d: d["detectors"][1]["cells"].append([[0, 1], 0.5]), "cells"),
+        (lambda d: d["detectors"][1]["accepted"].append([0, 1]), "accepted"),
     ])
     def test_malformed_field_is_a_schema_error_naming_it(self, edit, field):
         doc = self.doc()
         edit(doc)
         with pytest.raises(SchemaError, match=f"'{field}'"):
             EnsembleModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.pop("attrs"), "attrs"),
+        (lambda d: d.update(attrs=[0, True]), "attrs"),
+        (lambda d: d.pop("cells"), "cells"),
+        (lambda d: d.pop("counts"), "counts"),
+        (lambda d: d.pop("accepted"), "accepted"),
+        (lambda d: d.update(cells={}), "cells"),
+        (lambda d: d.update(counts=3), "counts"),
+        (lambda d: d["cells"].__setitem__(0, 1.5), "cells"),
+        (lambda d: d["cells"].__setitem__(0, 1.0), "cells"),
+        (lambda d: d["cells"].__setitem__(0, True), "cells"),
+        (lambda d: d["cells"].__setitem__(0, "1"), "cells"),
+        (lambda d: d["cells"].__setitem__(0, -1), "cells"),
+        (lambda d: d["cells"].__setitem__(0, 2**63), "cells"),
+        (lambda d: d["cells"].pop(), "cells"),
+        (lambda d: d["cells"].append(0), "cells"),
+        (lambda d: d["counts"].pop(), "cells"),
+        (lambda d: d["counts"].__setitem__(0, 0), "counts"),
+        (lambda d: d["counts"].__setitem__(0, -2), "counts"),
+        (lambda d: d["counts"].__setitem__(0, 4.0), "counts"),
+        (lambda d: d["counts"].__setitem__(0, True), "counts"),
+        (lambda d: d.update(accepted=-1), "accepted"),
+        (lambda d: d.update(accepted=7), "accepted"),
+        (lambda d: d.update(accepted=5.0), "accepted"),
+        (lambda d: d.update(accepted=True), "accepted"),
+        (lambda d: d.update(accepted=[[0, 1]]), "accepted"),
+        (repeat_first_cell, "cells"),
+    ])
+    def test_malformed_count_layout_field_is_a_schema_error_naming_it(self, edit, field):
+        doc = self.count_doc()
+        edit(doc["detectors"][1])
+        with pytest.raises(SchemaError, match=f"detector 1 .*'{field}'"):
+            EnsembleModel.from_json_dict(doc)
+
+    def test_count_layout_edges_are_read(self):
+        doc = self.count_doc()
+        det = doc["detectors"][1]
+        det.update(accepted=0, cells=[0, 2**63 - 1], counts=[2**70])
+        d = EnsembleModel.from_json_dict(doc).detectors[1]
+        assert (d.cell_mass, d.accepted_cells, d.fit_rows) == ({(0, 2**63 - 1): 1.0}, set(), 2**70)
+        det.update(accepted=0, cells=[], counts=[])
+        d = EnsembleModel.from_json_dict(doc).detectors[1]
+        assert (d.cell_mass, d.accepted_cells, d.fit_rows) == ({}, set(), 0)
+
+    def test_explicit_file_loads_as_the_count_layout_of_the_same_fit(self):
+        model = pinned_model()
+        assert model.to_json() == PINNED_COUNT
+        explicit = EnsembleModel.from_json(PINNED_EXPLICIT)
+        counted = EnsembleModel.from_json(PINNED_COUNT)
+        for loaded in (explicit, counted):
+            assert detector_fields(loaded) == detector_fields(model)
+            assert loaded.weights.tobytes() == model.weights.tobytes()
+            assert (loaded.rho, loaded.alpha) == (model.rho, model.alpha)
+        assert [d.fit_rows for d in counted.detectors] == [d.fit_rows for d in model.detectors]
+        # a detector read from the explicit layout has no fit_rows and is written back as read
+        assert [d.fit_rows for d in explicit.detectors] == [None, None]
+        assert explicit.to_json() == PINNED_EXPLICIT
 
     def test_non_object_and_non_json_files_are_schema_errors(self):
         with pytest.raises(SchemaError, match="'detectors'"):
@@ -506,3 +604,98 @@ class TestRowKernel:
         single.accepted_cells.add((2,))
         assert classify(model, (2, 2)) == (1.0, "normal")
         assert model._layout is layout
+
+
+def fits_count_layout(d) -> bool:
+    """Whether a detector's live cells fit the count layout, by its plain rules."""
+    n = d.fit_rows
+    if n is None:
+        return False
+    counts = {cell: round(mass * n) for cell, mass in d.cell_mass.items()}
+    ranked = sorted(counts, key=lambda cell: (-counts[cell], cell))
+    return (all(c >= 1 and c / n == d.cell_mass[cell] for cell, c in counts.items())
+            and sum(counts.values()) == n
+            and all(type(x) is int and 0 <= x < 2**63 for cell in counts for x in cell)
+            and set(ranked[:len(d.accepted_cells)]) == d.accepted_cells)
+
+
+def layouts(text: str) -> list[str]:
+    return ["count" if "counts" in d else "explicit" for d in json.loads(text)["detectors"]]
+
+
+def assert_read_back(loaded, model, text):
+    assert detector_fields(loaded) == detector_fields(model)
+    # a detector comes back with fit_rows only through the count layout
+    assert [d.fit_rows for d in loaded.detectors] == [
+        d.fit_rows if fits_count_layout(d) else None for d in model.detectors]
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert (loaded.rho, loaded.alpha) == (model.rho, model.alpha)
+    assert loaded.to_json() == text
+
+
+# edits that leave a fitted detector outside the count layout
+BREAKING_EDITS = ("built", "accept-unseen", "mass-ulp", "add-cell")
+
+
+class TestModelFileLayouts:
+    @settings(max_examples=30)
+    @given(vote_cases(), st.booleans())
+    def test_fitted_model_round_trips_in_the_count_layout(self, case, huge):
+        fit, subspaces, alpha, _ = case
+        if huge:  # codes near 2**62 in some cells
+            fit = DiscreteTable(np.where(fit.codes % 3 == 1, HUGE, fit.codes))
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        text = model.to_json()
+        assert layouts(text) == ["count"] * len(model.detectors)
+        assert all(map(fits_count_layout, model.detectors))
+        assert_read_back(EnsembleModel.from_json(text), model, text)
+
+    @settings(max_examples=30)
+    @given(vote_cases(), st.data())
+    def test_edited_and_api_built_detectors_round_trip(self, case, data):
+        fit, subspaces, alpha, _ = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        edits = data.draw(st.lists(
+            st.sampled_from((None, "accept-next", "drop-top", "reordered", *BREAKING_EDITS)),
+            min_size=len(model.detectors), max_size=len(model.detectors)))
+        unseen = int(fit.codes.max()) + 1
+        for i, (d, edit) in enumerate(zip(model.detectors, edits)):
+            ranked = sorted(d.cell_mass, key=lambda cell: (-d.cell_mass[cell], cell))
+            if edit == "built":  # the four positional fields: no fit_rows
+                model.detectors[i] = SubspaceDetector(d.subspace, dict(d.cell_mass),
+                                                      set(d.accepted_cells), d.alpha)
+            elif edit == "reordered":  # the same cells, not in tuple order
+                d.cell_mass = dict(reversed(d.cell_mass.items()))
+            elif edit == "accept-unseen":
+                d.accepted_cells.add((unseen,) * len(d.subspace))
+            elif edit == "add-cell":  # a count of one more row, which the file cannot hold
+                d.cell_mass[(unseen,) * len(d.subspace)] = 1 / d.fit_rows
+            elif edit == "mass-ulp":
+                d.cell_mass[ranked[-1]] = float(np.nextafter(d.cell_mass[ranked[-1]], 2.0))
+            elif edit == "accept-next":  # still a ranked prefix, one cell longer
+                d.accepted_cells.update(ranked[:len(d.accepted_cells) + 1])
+            elif edit == "drop-top":
+                d.accepted_cells.discard(ranked[0])
+        text = model.to_json()
+        want = ["count" if fits_count_layout(d) else "explicit" for d in model.detectors]
+        assert layouts(text) == want
+        assert all(w == "explicit" for w, edit in zip(want, edits) if edit in BREAKING_EDITS)
+        assert_read_back(EnsembleModel.from_json(text), model, text)
+        for d in model.detectors:  # the bytes do not depend on the order of cell_mass
+            d.cell_mass = dict(sorted(d.cell_mass.items()))
+        assert model.to_json() == text
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: replace(d, accepted_cells=d.accepted_cells | {(0, 2**63)}), "accepted"),
+        (lambda d: replace(d, accepted_cells=d.accepted_cells | {(0, -1)}), "accepted"),
+        # counts that fit, but cells of the wrong width: flat codes would regroup them
+        (lambda d: replace(d, cell_mass={(0, 1, 2): 0.5, (3,): 0.5},
+                           accepted_cells={(0, 1, 2)}, fit_rows=2), "cells"),
+    ])
+    def test_a_detector_no_file_can_hold_is_written_explicitly_and_refused(self, edit, field):
+        model = pinned_model()
+        model.detectors[1] = edit(model.detectors[1])
+        text = model.to_json()
+        assert layouts(text) == ["count", "explicit"]
+        with pytest.raises(SchemaError, match=f"detector 1 field '{field}'"):
+            EnsembleModel.from_json(text)

@@ -10,13 +10,17 @@ under a temporary directory. Each side's ``aag`` is imported once from
 
 On every table each side runs ``aag subspaces``, ``train`` and ``score``
 with ``cli.main``; the report lists each ``<workload>/t<k>/<file>`` whose
-sha256 differs between the sides (``classify`` if one-row scores differ
-on the sample). Then each side builds the phases' inputs with its own
-library (its model must be the bytes its ``aag train`` wrote) and
-ROUNDS rounds run every phase on every table on both sides back to back,
-the side that goes first alternating. The inputs are frozen out of the
-collector's view; library phases run with the collector on, and
-``cli.main`` pauses it itself. Per workload and phase the report gives
+sha256 differs between the sides, ``classify`` if one-row scores differ
+on the sample, and ``model`` if the models the two sides read back from
+their ``model.json`` differ in meaning: a detector's subspace, cell
+masses or accepted cells, the weight bytes, rho, alpha or the
+preprocessing parameters. A change to the file's layout alone lists
+``model.json`` but not ``model``. Then each side builds the phases'
+inputs with its own library (its model must be the bytes its ``aag
+train`` wrote) and ROUNDS rounds run every phase on every table on both
+sides back to back, the side that goes first alternating. The inputs
+are frozen out of the collector's view; library phases run with the
+collector on, and ``cli.main`` pauses it itself. Per workload and phase the report gives
 each side's median over rounds of the seconds summed over the tables and
 of the collector's seconds inside them (a ``gc.callbacks`` hook), and
 the median and IQR of the per-round change/parent ratio. One-row
@@ -123,6 +127,13 @@ def prepare(aag, inputs, out: Path, k: int, n_tables: int, seed: int) -> SimpleN
     return t
 
 
+def meaning(model) -> tuple:
+    """What a model read back from its file holds, whatever the file's layout."""
+    return ([(d.subspace, d.cell_mass, d.accepted_cells) for d in model.detectors],
+            model.weights.tobytes(), model.rho, model.alpha,
+            model.preprocess and model.preprocess.to_json_dict())
+
+
 def phases(t: SimpleNamespace) -> dict:
     """Each timed phase of one side's table, as a call."""
     aag = t.aag
@@ -221,6 +232,8 @@ def run_workload(aags: dict, workload, seed: int, tmp: Path, clock, report: dict
         p, c = sides.values()
         if [p.aag.classify(p.model, r) for r in p.sample] != [c.aag.classify(c.model, r) for r in c.sample]:
             report["differ"].append(f"{workload.name}/t{k}/classify")
+        if meaning(p.model) != meaning(c.model):
+            report["differ"].append(f"{workload.name}/t{k}/model")
         tables.append(sides)
     calls = [{side: phases(t) for side, t in sides.items()} for sides in tables]
     gc.collect()
