@@ -185,7 +185,7 @@ def cmd_score(args) -> int:
     coded = apply_preprocessor(model.preprocess, raw)
     scores, labels = _timed("score", classify_table, model, coded)
     lines = ["row_index,score,label"]
-    lines += [f"{i},{s:.6f},{label}" for i, (s, label) in enumerate(zip(scores, labels))]
+    lines += [f"{i},{s:.6f},{label}" for i, (s, label) in enumerate(zip(scores.tolist(), labels))]
     _write(args.output, "\n".join(lines) + "\n")
     return 0
 

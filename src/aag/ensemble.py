@@ -154,28 +154,34 @@ def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
     stacked above the rows' subspace columns, column by column, and keyed
     together by ``table._joint_key``, which renumbers rather than overflow
     or alias, so a row and a cell share a key exactly when their codes
-    are equal. Each row adds the weights of the accepting detectors in
-    detector order, starting from 0.0: the sums of ``_vote``, bit for
-    bit. A cell holding a negative code or one past int64 matches no row
-    and is dropped.
+    are equal. The cells' keys are marked in a boolean table of the key
+    space, and a row accepts when its key is marked. Each row adds the
+    weights of the accepting detectors in detector order, starting from
+    0.0: the sums of ``_vote``, bit for bit. A cell holding a negative
+    code or one past int64 matches no row and is dropped.
     """
     _check_width(codes, _width(detectors))
+    by_attr = np.ascontiguousarray(codes.T)  # one copy, not a strided gather per detector
     scores = np.zeros(codes.shape[0])
     for d, w in zip(detectors, weights):
         if w == 0.0 or not d.accepted_cells:
             continue
         try:
-            cells = np.array(list(d.accepted_cells), dtype=np.int64)
+            flat = np.fromiter(chain.from_iterable(d.accepted_cells), np.int64)
         except OverflowError:  # a code outside int64, which no row holds
             held = [c for c in d.accepted_cells if 0 <= min(c) and max(c) <= _MAX_CODE]
-            cells = np.array(held, dtype=np.int64).reshape(-1, len(d.subspace))
+            flat = np.fromiter(chain.from_iterable(held), np.int64)
+        cells = flat.reshape(-1, len(d.subspace))
         cells = cells[(cells >= 0).all(axis=1)]  # no row holds a negative code
+        k = len(cells)
         # per attribute, the cells' codes and then the rows'
-        columns = [np.concatenate([cells[:, j], codes[:, a]]) for j, a in enumerate(d.subspace)]
+        columns = [np.concatenate([cells[:, j], by_attr[a]]) for j, a in enumerate(d.subspace)]
         arities = [int(column.max()) + 1 for column in columns]
-        key, _ = _joint_key(columns, arities, range(len(columns)),
-                            _KEYS_PER_ROW * (len(cells) + len(codes)))
-        scores[np.isin(key[len(cells):], key[:len(cells)])] += w
+        key, size = _joint_key(columns, arities, range(len(columns)),
+                               _KEYS_PER_ROW * (k + len(codes)))
+        hit = np.zeros(size, dtype=bool)
+        hit[key[:k]] = True
+        scores[hit[key[k:]]] += w
     return scores
 
 

@@ -5,15 +5,28 @@ symbol dictionaries), so applying it to new data never peeks at that
 data's distribution. Numeric columns are binned by equal-frequency cut
 points placed midway between adjacent distinct training values; repeated
 values never straddle an edge, so a value always maps to one code.
+
+``load_csv`` reads the text once and gives the cells ``csv.reader``
+gives. A file with no quote, ``\\r`` or NUL and no line past
+``csv.field_size_limit()`` is split at newlines, and its body's lines,
+a block at a time, at the delimiter into one list of fields; column j is
+every n-th field from field j. Any other file goes through
+``csv.reader``. Both feed one typing step, which parses a column's raw
+cells as floats in one pass (``float`` ignores the whitespace
+``str.strip`` removes) and strips cells only where that pass cannot
+decide: a categorical column, or a cell that is not a number as it
+stands.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -83,43 +96,156 @@ def load_csv(
     count as missing too, so they are imputed with the training mean; in
     a categorical column they are ordinary symbols. Header names must be
     distinct: a repeated name raises ParseError, as does a file that is
-    not UTF-8.
+    not UTF-8 or one ``csv`` refuses (a field past its size limit).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh, delimiter=delimiter))
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text") from exc
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    if header:
-        names = [h.strip() for h in rows[0]]
-        data_rows = rows[1:]
+    lines = _plain_lines(text, delimiter)
+    if lines is None:
+        encoded = text.encode("utf-8")
+        del text
+        rows = _reader_rows(path, encoded, delimiter)
+        names = _names(path, rows[0] if rows else None, header)
+        data = rows[1:] if header else rows
+        _check_widths(path, map(len, data), len(names), header)
+        columns = zip(*data)
     else:
-        names = [f"c{i}" for i in range(len(rows[0]))]
-        data_rows = rows
+        del text
+        names = _names(path, _fields(lines[0], delimiter) if lines else None, header)
+        data = lines[1:] if header else lines
+        del lines
+        n_cols = len(names)
+        if set(map(str.count, data, repeat(delimiter))) - {n_cols - 1} or "" in data:
+            # some line has not n_cols fields; an empty one has none
+            _check_widths(path, (len(_fields(line, delimiter)) for line in data), n_cols, header)
+        columns = _strided(data, delimiter, n_cols)
+    if not data:
+        raise ParseError(f"{path}: no data rows")
+    del data  # _strided frees the lines as it splits them
+
+    # a marker with outer whitespace never equals a stripped cell
+    missing = {m for m in missing_markers if m == m.strip()}
+    as_nan = None if any(map(_is_number, missing)) else dict.fromkeys(missing, "nan")
+    return RawTable([_typed_column(name, cells, missing, as_nan)
+                     for name, cells in zip(names, columns)])
+
+
+# a file holding one of these goes through csv.reader
+_READER_ONLY = '"\r\0'
+
+
+def _plain_lines(text: str, delimiter: str) -> list[str] | None:
+    """The file's lines, when splitting each at the delimiter reads it as
+    ``csv.reader`` does; else None.
+
+    That holds when neither the text nor the delimiter holds a quote,
+    ``\\r`` or NUL, the delimiter is not ``\\n``, and no line is longer
+    than ``csv.field_size_limit()``. Without ``\\r`` the file's lines are
+    the text split at ``\\n``, the empty piece after a final newline
+    dropped; without a quote no field is quoted; and csv refuses NUL on
+    some Python versions.
+    """
+    if delimiter in _READER_ONLY + "\n" or any(c in text for c in _READER_ONLY):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if lines and max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _fields(line: str, delimiter: str) -> list[str]:
+    """A plain line's fields; an empty line has none, as in ``csv.reader``."""
+    return line.split(delimiter) if line else []
+
+
+def _reader_rows(path, encoded: bytes, delimiter: str) -> list[list[str]]:
+    """The rows ``csv.reader`` reads from the file's text, UTF-8 encoded.
+
+    The text is decoded again line by line, as from the file, rather than
+    held whole in an ``io.StringIO``, which stores 4 bytes a character.
+    """
+    source = io.TextIOWrapper(io.BytesIO(encoded), encoding="utf-8", newline="")
+    reader = csv.reader(source, delimiter=delimiter)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _names(path, first: list[str] | None, header: bool) -> list[str]:
+    """Column names from the first row's fields, ``first`` (None: the file has no row)."""
+    if first is None:
+        raise ParseError(f"{path}: empty file")
+    names = [h.strip() for h in first] if header else [f"c{i}" for i in range(len(first))]
     repeated = sorted(name for name, k in Counter(names).items() if k > 1)
     if repeated:
         raise ParseError(f"{path}: duplicate column name {repeated[0]!r}")
-    n_cols = len(names)
-    for i, row in enumerate(data_rows):
-        if len(row) != n_cols:
-            line = i + (2 if header else 1)
-            raise ParseError(f"{path}: row {line} has {len(row)} fields, expected {n_cols}")
-    if not data_rows:
-        raise ParseError(f"{path}: no data rows")
+    return names
 
-    missing = set(missing_markers)
-    columns = []
-    for j, name in enumerate(names):
-        cells = [row[j].strip() for row in data_rows]
-        values = _numeric_values(cells, missing)
-        if values is not None:
-            columns.append(RawColumn(name, NUMERIC, values))
+
+def _check_widths(path, widths, n_cols: int, header: bool) -> None:
+    """ParseError at the first data row without ``n_cols`` fields."""
+    for i, width in enumerate(widths):
+        if width != n_cols:
+            line = i + (2 if header else 1)
+            raise ParseError(f"{path}: row {line} has {width} fields, expected {n_cols}")
+
+
+# lines joined and split per step, then freed, so no copy of the whole body is made
+_BLOCK_LINES = 2048
+
+
+def _strided(lines: list[str], delimiter: str, n_cols: int):
+    """Each column's cells of plain lines of ``n_cols`` fields, emptying
+    ``lines``: the fields of all lines in one list, column j every
+    ``n_cols``-th field from field j."""
+    flat = []
+    while lines:
+        flat += delimiter.join(lines[:_BLOCK_LINES]).split(delimiter)
+        del lines[:_BLOCK_LINES]
+    for j in range(n_cols):
+        yield flat[j::n_cols]
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _typed_column(name: str, cells: list[str], missing: set, as_nan: dict | None) -> RawColumn:
+    """A column of raw cells, typed as a column of its stripped cells.
+
+    ``float`` ignores the whitespace ``str.strip`` removes, so a column is
+    first parsed from its raw cells, each marker read as ``"nan"``
+    (``as_nan``, None when a marker reads as a number). Only when that
+    fails, or finds no finite number, are the cells stripped and typed
+    one by one.
+    """
+    if as_nan is not None:
+        try:
+            values = np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, len(cells))
+        except ValueError:
+            pass
         else:
-            values = np.array([None if c in missing else c for c in cells], dtype=object)
-            columns.append(RawColumn(name, CATEGORICAL, values))
-    return RawTable(columns)
+            finite = np.isfinite(values)
+            if finite.any():
+                values[~finite] = math.nan
+                return RawColumn(name, NUMERIC, values)
+    cells = list(map(str.strip, cells))
+    values = _numeric_values(cells, missing)
+    if values is not None:
+        return RawColumn(name, NUMERIC, values)
+    none = dict.fromkeys(missing)
+    values = np.fromiter(map(none.get, cells, cells), object, len(cells))
+    return RawColumn(name, CATEGORICAL, values)
 
 
 def _numeric_values(cells: list[str], missing: set) -> np.ndarray | None:
@@ -319,6 +445,7 @@ def apply_preprocessor(model: PreprocessModel, data: RawTable) -> DiscreteTable:
             lookup = {s: i for i, s in enumerate(cm.symbols)}
             lookup[None] = lookup[cm.mode]  # a missing cell takes the mode
             unknown = len(cm.symbols)
-            coded[:, j] = [lookup.get(v, unknown) for v in col.values]
+            coded[:, j] = np.fromiter(map(lookup.get, col.values, repeat(unknown)), np.int64,
+                                      data.n_rows)
             names.append(list(cm.symbols) + ["<unknown>"])
     return DiscreteTable(coded, symbol_names=names)

@@ -54,7 +54,7 @@ class DiscreteTable:
         self._codes = arr
         self.n_rows: int = int(arr.shape[0])
         self.n_attrs: int = int(arr.shape[1])
-        self.arities: tuple[int, ...] = tuple(int(arr[:, j].max()) + 1 for j in range(self.n_attrs))
+        self.arities: tuple[int, ...] = tuple(m + 1 for m in arr.max(axis=0).tolist())
         if symbol_names is not None:
             if len(symbol_names) != self.n_attrs:
                 raise ValueError("symbol_names must have one entry per attribute")

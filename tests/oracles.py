@@ -6,8 +6,8 @@ sort-path entropy is the exception: a chain of np.unique sorts and
 np.log2 of each count, the bit-for-bit reference of the counting kernel.
 The calibration reference uses numpy only to form the same BLAS sum
 ``weights @ votes`` that calibration is defined by. The CSV reference
-types each column in two passes: a parse check of every present cell,
-then a float of every cell.
+reads rows with csv.reader and types each column in two passes: a parse
+check of every present cell, then a float of every cell.
 """
 
 import csv
@@ -177,16 +177,31 @@ def calibration_of(detectors, val_rows, alpha):
     return weights, float(scores[min(int(np.floor(alpha * scores.size)), scores.size - 1)])
 
 
-def csv_columns_of(path, missing_markers=("", "?")):
-    """Reference CSV typing: one (kind, values) per column of a headed file.
+def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True):
+    """Reference CSV reading: the column names and one (kind, values) per column.
 
-    A column is numeric iff it has a present cell and every present cell
-    parses as a float; its values are floats with NaN for missing and
-    non-finite cells. Otherwise it is categorical: the stripped text, None
-    for missing.
+    Rows come from csv.reader over the file. A column is numeric iff it
+    has a present cell and every present cell parses as a float; its
+    values are floats with NaN for missing and non-finite cells.
+    Otherwise it is categorical: the stripped text, None for missing. A
+    file with no row, a repeated (stripped) name, a data row of another
+    width or no data row raises ValueError with ``load_csv``'s message.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))[1:]
+        rows = list(csv.reader(fh, delimiter=delimiter))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    names = [h.strip() for h in rows[0]] if header else [f"c{i}" for i in range(len(rows[0]))]
+    repeated = sorted(name for name in set(names) if names.count(name) > 1)
+    if repeated:
+        raise ValueError(f"{path}: duplicate column name {repeated[0]!r}")
+    rows = rows[1:] if header else rows
+    for i, row in enumerate(rows):
+        if len(row) != len(names):
+            line = i + (2 if header else 1)
+            raise ValueError(f"{path}: row {line} has {len(row)} fields, expected {len(names)}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     missing = set(missing_markers)
 
     def is_number(text):
@@ -197,7 +212,7 @@ def csv_columns_of(path, missing_markers=("", "?")):
         return True
 
     out = []
-    for j in range(len(rows[0])):
+    for j in range(len(names)):
         cells = [row[j].strip() for row in rows]
         present = [c for c in cells if c not in missing]
         if present and all(is_number(c) for c in present):
@@ -207,4 +222,4 @@ def csv_columns_of(path, missing_markers=("", "?")):
         else:
             out.append(("categorical", np.array([None if c in missing else c for c in cells],
                                                 dtype=object)))
-    return out
+    return names, out

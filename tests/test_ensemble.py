@@ -473,19 +473,24 @@ def table_kernel_cases(draw):
     weights of several magnitudes, so a sum in another order would differ
     in the last bit. Score rows and accepted cells may hold codes near
     2**62 and codes past every other row's; score tables may hold over
-    2 000 rows.
+    2 000 rows. A wide case has subspaces of 6-10 attributes and hundreds
+    of cells, so partial keys pass the key budget and are renumbered
+    mid-key even where no code is near 2**62.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_attrs = int(rng.integers(2, 7))
+    wide = draw(st.integers(0, 3)) == 0
+    n_attrs = int(rng.integers(6, 11)) if wide else int(rng.integers(2, 7))
     n_score = draw(st.integers(1, 40) | st.integers(2046, 2248))
     codes = rng.integers(0, rng.integers(1, 5, size=n_attrs), size=(n_score, n_attrs))
     if draw(st.booleans()):
         codes[rng.random(codes.shape) < 0.05] = HUGE
     detectors, weights = [], []
     for _ in range(draw(st.integers(1, 6))):
-        attrs = rng.integers(0, n_attrs, size=int(rng.integers(1, 4))).tolist()
+        width = int(rng.integers(6, n_attrs + 1)) if wide else int(rng.integers(1, 4))
+        attrs = rng.integers(0, n_attrs, size=width).tolist()
         seen = codes[rng.integers(0, n_score, size=int(rng.integers(0, 6)))][:, attrs]
-        other = rng.integers(0, 9, size=(int(rng.integers(0, 6)), len(attrs)))
+        n_other = int(rng.integers(100, 400) if wide else rng.integers(0, 6))
+        other = rng.integers(0, 9, size=(n_other, len(attrs)))
         if rng.random() < 0.3 and other.size:
             other[0, rng.integers(len(attrs))] = HUGE + int(rng.integers(0, 2))
         cells = sorted({tuple(c) for c in np.concatenate([seen, other]).tolist()})

@@ -1,10 +1,11 @@
 import csv
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +16,7 @@ from aag.preprocess import (
     PreprocessModel,
     RawColumn,
     RawTable,
+    _plain_lines,
     apply_preprocessor,
     fit_preprocessor,
     load_csv,
@@ -103,6 +105,36 @@ class TestLoadCsv:
         raw = load_csv(write(tmp_path, "x\n1\nNA\n"), missing_markers=("NA",))
         assert np.isnan(raw.column("x").values[1])
 
+    @pytest.mark.parametrize("cell", ["x" * 140_000, '"' + "x" * 140_000 + '"'],
+                             ids=["plain", "quoted"])
+    def test_overlong_field_raises_parse_error_naming_the_file(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b\n1,2\n{cell},3\n")
+        with pytest.raises(ParseError, match=r"data\.csv: line 3: field larger than field limit"):
+            load_csv(path)
+
+    def test_a_line_past_the_field_limit_is_read_by_csv(self, tmp_path):
+        limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(8)
+            raw = load_csv(write(tmp_path, "a,b\n12345678,12345678\n1,2\n"))
+            assert raw.column("b").values.tolist() == [12345678.0, 2.0]
+            with pytest.raises(ParseError, match="line 2: field larger than field limit"):
+                load_csv(write(tmp_path, "a,b\n123456789,1\n"))
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("text, delimiter, plain", [
+        ("a,b\n1,2\n", ",", True),
+        ("a\n\n", ",", True),
+        ('a,b\n"1",2\n', ",", False),
+        ("a,b\r\n1,2\r\n", ",", False),
+        ("a,b\n1\x00,2\n", ",", False),
+        ("a\tb\n1\t2\n", "\t", True),
+        ("a\n1\n", "\n", False),
+    ])
+    def test_only_plain_text_is_split_without_csv(self, text, delimiter, plain):
+        assert (_plain_lines(text, delimiter) is not None) == plain
+
     def test_quoted_fields_keep_embedded_delimiters(self, tmp_path):
         raw = load_csv(write(tmp_path, 'c,x\n"a,b",1\nplain,2\n'))
         assert list(raw.column("c").values) == ["a,b", "plain"]
@@ -114,6 +146,9 @@ NUMBER_LIKE = ["1_000", " inf", "nan", "NaN", "-nan", "1e999", "-1e999", "1e-400
                "+1.5", " 2 ", "Infinity", "-inf", "\u0663", "0", "1.5e3"]
 NOT_QUITE = ["0x1", "1__0", "_1", "1_", "1e", ".", "-", "1,5", "abc", "infinit", "n a n"]
 MARKERS = ["", "?", "NA", "  "]
+# cells whose whitespace hides a marker or a number
+PADDED = [" ? ", "\t?", "? ", " NA ", " -999", "-999 ", " 1.5 ", "\t2\t", " nan ", " "]
+MARKER_SETS = [("", "?"), ("NA",), ("", "?", "nan", "-"), ("-999", " ? "), ("  ", "?", "")]
 
 
 @st.composite
@@ -130,6 +165,54 @@ def csv_columns(draw):
     return columns, markers
 
 
+@st.composite
+def csv_files(draw):
+    """The text of a CSV file holding ``csv_columns`` cells, and how to read it.
+
+    Lines end in ``\\n`` or ``\\r\\n``, with or without a final one,
+    behind a byte-order mark or not; the delimiter is ',' or ';'; cells
+    are quoted where needed or all of them; some cells are padded with
+    whitespace; markers may be padded or read as numbers. Sometimes the
+    file has no header, a name repeated once stripped, blank lines or a
+    short row.
+    """
+    columns, _ = draw(csv_columns())
+    for _ in range(draw(st.integers(0, 4))):
+        column = columns[draw(st.integers(0, len(columns) - 1))]
+        column[draw(st.integers(0, len(column) - 1))] = draw(st.sampled_from(PADDED))
+    markers = draw(st.sampled_from(MARKER_SETS))
+    delimiter = draw(st.sampled_from([",", ";"]))
+    header = draw(st.booleans())
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator=terminator,
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL])))
+    if header:
+        names = [f"c{j}" for j in range(len(columns))]
+        if len(names) > 1 and draw(st.integers(0, 9)) == 0:
+            names[-1] = " c0"
+        writer.writerow(names)
+    writer.writerows(zip(*columns))
+    lines = buffer.getvalue().split(terminator)[:-1]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].rpartition(delimiter)[0]
+    text = terminator.join(lines) + (terminator if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text, delimiter, markers, header
+
+
+def assert_columns_equal(raw, want):
+    assert [c.kind for c in raw.columns] == [kind for kind, _ in want]
+    for col, (kind, values) in zip(raw.columns, want):
+        if kind == NUMERIC:
+            assert col.values.dtype == np.float64
+            assert col.values.tobytes() == values.tobytes()  # NaN-aware, and -0.0 stays
+        else:
+            assert col.values.tolist() == values.tolist()
+
+
 class TestOnePassTyping:
     @given(csv_columns())
     def test_kinds_and_values_match_the_two_pass_reader(self, case):
@@ -141,14 +224,27 @@ class TestOnePassTyping:
                 writer.writerow([f"c{j}" for j in range(len(columns))])
                 writer.writerows(zip(*columns))
             raw = load_csv(path, missing_markers=markers)
-            want = oracles.csv_columns_of(path, missing_markers=markers)
-        assert [c.kind for c in raw.columns] == [kind for kind, _ in want]
-        for col, (kind, values) in zip(raw.columns, want):
-            if kind == NUMERIC:
-                assert col.values.dtype == np.float64
-                assert col.values.tobytes() == values.tobytes()  # NaN-aware, and -0.0 stays
-            else:
-                assert col.values.tolist() == values.tolist()
+            _, want = oracles.csv_columns_of(path, missing_markers=markers)
+        assert_columns_equal(raw, want)
+
+    @settings(max_examples=300)
+    @given(csv_files())
+    def test_files_read_as_csv_reader_reads_them(self, case):
+        text, delimiter, markers, header = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            kwargs = {"delimiter": delimiter, "missing_markers": markers, "header": header}
+            try:
+                names, want = oracles.csv_columns_of(path, **kwargs)
+            except ValueError as exc:
+                with pytest.raises(ParseError) as got:
+                    load_csv(path, **kwargs)
+                assert str(got.value) == str(exc)
+                return
+            raw = load_csv(path, **kwargs)
+        assert raw.names == names
+        assert_columns_equal(raw, want)
 
     def test_all_missing_column_stays_categorical(self, tmp_path):
         raw = load_csv(write(tmp_path, "x,y\n?,1\n,2\n"))

@@ -154,7 +154,9 @@ def phases(t: SimpleNamespace) -> dict:
         "cli_train": lambda: run_cli(aag, t.argv["train"]),
         "cli_score": lambda: run_cli(aag, t.argv["score"]),
         "load_csv": lambda: (aag.load_csv(t.train_csv), aag.load_csv(t.score_csv)),
+        "load_score": lambda: aag.load_csv(t.score_csv),
         "preprocess": preprocess,
+        "apply_score": lambda: aag.apply_preprocessor(t.pp, t.raw_score),
         "run_aag": lambda: aag.run_aag(t.fit_rows),
         "fit_ensemble": lambda: aag.fit_ensemble(t.coded, t.subspaces, preprocess=t.pp),
         "to_json": t.model.to_json,
