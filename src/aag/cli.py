@@ -33,7 +33,8 @@ from .ensemble import EnsembleModel, classify_table, fit_ensemble, split_indices
 from .errors import AagError, SchemaError
 from .evaluation import f1_score, generate_setting1, generate_setting3, stability_index
 from .grouping import SubspaceSet, run_aag
-from .preprocess import DEFAULT_MISSING, apply_preprocessor, fit_preprocessor, load_csv
+from .preprocess import (DEFAULT_MISSING, apply_preprocessor, fit_preprocessor, load_csv,
+                         load_csv_for)
 
 log = logging.getLogger("aag")
 
@@ -181,13 +182,27 @@ def cmd_score(args) -> int:
     model = EnsembleModel.from_json(text)
     if model.preprocess is None:
         raise AagError("model file carries no preprocessing parameters")
-    raw = _load(args)
+    raw = _timed("load", load_csv_for, model.preprocess, args.input, delimiter=args.delimiter,
+                 missing_markers=_markers(args))
     coded = apply_preprocessor(model.preprocess, raw)
     scores, labels = _timed("score", classify_table, model, coded)
-    lines = ["row_index,score,label"]
-    lines += [f"{i},{s:.6f},{label}" for i, (s, label) in enumerate(zip(scores.tolist(), labels))]
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, _scores_csv(scores, labels))
     return 0
+
+
+def _scores_csv(scores: np.ndarray, labels: list[str]) -> str:
+    """The text of scores.csv: a header, then ``row,score,label`` per row.
+
+    A score is a sum of a few weights, so rows share few distinct scores:
+    each distinct score (by its bits) is formatted once, with the label
+    of its first row, and every row of that score reuses the line's tail.
+    """
+    bits, first, inverse = np.unique(scores.view(np.int64), return_index=True,
+                                     return_inverse=True)
+    tails = [f",{s:.6f},{labels[i]}\n"
+             for s, i in zip(bits.view(np.float64).tolist(), first.tolist())]
+    return "row_index,score,label\n" + "".join(
+        map(str.__add__, map(str, range(len(scores))), map(tails.__getitem__, inverse.tolist())))
 
 
 def cmd_bench(args) -> int:

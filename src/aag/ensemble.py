@@ -6,6 +6,16 @@ seen in training, is rejected. Detector votes are weighted by validation
 accuracy and the decision threshold is the largest cut that keeps the
 validation false-positive rate within alpha.
 
+In memory, a detector that ``fit_detector`` or the model reader builds
+holds the model file's count layout: its cells as an int64 array of
+shape [k, width], ranked by descending training count (ties in tuple
+order), their counts as int64, and the length of the accepted prefix.
+The public ``cell_mass`` dict and ``accepted_cells`` set are views, built
+from the arrays when first read. The rule has one bit: the arrays hold
+the detector until a view is read or a field assigned; after that, and
+for a detector built through the constructor, the dict and the set hold
+it, so cells added to them vote and are written.
+
 Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
 from 0.0. Two kernels compute that same sum. The row kernel, ``_vote``,
@@ -14,10 +24,11 @@ scores the one row of a one-row call (``classify``,
 codes, checks its width and turns it into a list, and each voting
 detector reads its cell from that list with a getter
 (``operator.itemgetter`` over its subspace) and looks it up in its
-accepted set. Calibration reads each detector's cells from the
-validation rows with the same getter. The table kernel,
+accepted set, a view built once per model. The table kernel,
 ``_column_vote``, serves ``classify_table``: it takes one detector at a
-time and adds its weight to every accepting row at once. A detector of
+time, keys its accepted cells and the rows together (``_hits``) and adds
+its weight to every accepting row at once. Calibration takes each
+detector's 0/1 validation votes from the same ``_hits``. A detector of
 weight 0.0 casts no vote in either kernel: adding 0.0 to a score that
 starts at +0.0 never changes it, so its cells are never looked up. The
 threshold rho is cut from ``weights @ votes`` over the validation rows,
@@ -26,27 +37,29 @@ a BLAS sum that can differ from the detector-order sum in the last bit.
 Models are immutable once fitted; scoring is reentrant and safe to call
 from multiple threads.
 
-``model.json`` is one line of compact JSON with sorted keys. A fitted
-detector is written in the count layout: its cells ranked by descending
-training count (ties in tuple order), their codes row by row in one flat
-list, their counts, and the length of the accepted prefix. Its masses are
-read back as ``count / sum(counts)``, the division ``fit_detector`` makes,
-so they are the same floats. A detector whose live cells do not fit that
-layout (built through the API or edited after the fit) is written in the
-explicit layout, ``[cell, mass]`` pairs and the list of accepted cells,
-which is also how earlier versions wrote every detector; both layouts and
-earlier indented files load.
+``model.json`` is one line of compact JSON with sorted keys. A detector
+its arrays hold is written in the count layout, the arrays as they are:
+the cells' codes row by row in one flat list, their counts, and the
+length of the accepted prefix. Its masses are read back as ``count /
+sum(counts)``, the division ``fit_detector`` makes, so they are the same
+floats. A detector the dict and set hold is written in the count layout
+when they fit it, and otherwise (built through the API or edited after
+the fit) in the explicit layout, ``[cell, mass]`` pairs and the list of
+accepted cells, which is also how earlier versions wrote every detector;
+both layouts and earlier indented files load.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,13 +76,62 @@ _MAX_CODE = int(np.iinfo(np.int64).max)
 _MAX_EXACT = 2**53
 
 
+_TO_VIEWS = threading.Lock()
+
+
+class _Ranked(NamedTuple):
+    """A detector's cells in the model file's count layout."""
+
+    cells: np.ndarray  # int64 [k, width], codes >= 0, by descending count, ties in tuple order
+    counts: np.ndarray  # int64, each at least 1, summing to below 2^53
+    n_accepted: int  # the length of the accepted prefix
+
+
 @dataclass
 class SubspaceDetector:
+    """One subspace's cells with their training masses, and the accepted ones.
+
+    ``fit_detector`` and the model reader build it from ``_Ranked`` arrays,
+    over which ``cell_mass`` and ``accepted_cells`` are views; the module
+    docstring gives the rule.
+    """
+
     subspace: tuple[int, ...]
     cell_mass: dict[tuple[int, ...], float]
     accepted_cells: set[tuple[int, ...]]
     alpha: float
     fit_rows: int | None = None  # the rows it was fitted on; each mass is count / fit_rows
+
+    _ranked = None  # the arrays while they hold the detector (not a field)
+
+    @classmethod
+    def _of_ranked(cls, subspace: tuple[int, ...], alpha: float, ranked: _Ranked):
+        d = cls.__new__(cls)
+        d.__dict__.update(subspace=subspace, alpha=alpha, fit_rows=int(ranked.counts.sum()),
+                          _ranked=ranked)
+        return d
+
+    def _to_views(self) -> None:
+        with _TO_VIEWS:  # threads scoring one model reach here together; one builds the views
+            if self._ranked is None:
+                return
+            cells, counts, k = self._ranked
+            keys = list(map(tuple, cells.tolist()))
+            n = self.fit_rows
+            self.__dict__.update(cell_mass=dict(zip(keys, [c / n for c in counts.tolist()])),
+                                 accepted_cells=set(keys[:k]), _ranked=None)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a view not built yet
+        if self._ranked is not None and name in ("cell_mass", "accepted_cells"):
+            self._to_views()
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __setattr__(self, name, value):
+        if self._ranked is not None:
+            self._to_views()
+        object.__setattr__(self, name, value)
 
 
 def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetector:
@@ -86,18 +148,15 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
         raise ValueError("alpha must be in (0, 1)")
     subspace = validate_attrs(train, subspace)
     n = train.n_rows
-    # a stable sort on -count ranks the cells
     key, _ = _joint_key(train.codes.T, train.arities, subspace, _KEYS_PER_ROW * n)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    cells = train.codes[first[:, None], subspace]
-    keys = list(map(tuple, cells.tolist()))
-    cell_mass = {key: c / n for key, c in zip(keys, counts.tolist())}
+    # keys sort as the cells do, so a stable sort on -count ranks ties in tuple order
     order = np.argsort(-counts, kind="stable")
-    ranked = counts[order]
-    covered_before = np.cumsum(ranked) - ranked
+    counts = counts[order]
+    covered_before = np.cumsum(counts) - counts
     n_accepted = int(np.count_nonzero(covered_before < (1.0 - alpha) * n - 1e-9))
-    accepted = {keys[i] for i in order[:n_accepted].tolist()}
-    return SubspaceDetector(subspace, cell_mass, accepted, alpha, n)
+    cells = train.codes[first[order][:, None], subspace]
+    return SubspaceDetector._of_ranked(subspace, alpha, _Ranked(cells, counts, n_accepted))
 
 
 def _cell_getter(subspace) -> Callable[[list], tuple]:
@@ -147,41 +206,60 @@ def _vote(layout: _Layout, row) -> float:
     return s
 
 
+def _accepted_codes(d: SubspaceDetector) -> np.ndarray:
+    """A detector's accepted cells as int64 rows of codes: the arrays'
+    accepted prefix, or else the live set's cells, read on every call. A
+    cell holding a negative code or one past int64 matches no row and is
+    left out."""
+    ranked = d._ranked
+    if ranked is not None:
+        return ranked.cells[:ranked.n_accepted]
+    try:
+        flat = np.fromiter(chain.from_iterable(d.accepted_cells), np.int64)
+    except OverflowError:  # a code outside int64, which no row holds
+        held = [c for c in d.accepted_cells if 0 <= min(c) and max(c) <= _MAX_CODE]
+        flat = np.fromiter(chain.from_iterable(held), np.int64)
+    cells = flat.reshape(-1, len(d.subspace))
+    return cells[(cells >= 0).all(axis=1)]  # no row holds a negative code
+
+
+def _hits(cells: np.ndarray, by_attr: np.ndarray, subspace) -> np.ndarray:
+    """Whether each row's cell of ``subspace`` is one of ``cells`` (int64
+    rows of codes >= 0); ``by_attr[a]`` holds attribute ``a`` of every row.
+
+    The cells' codes are stacked above the rows' subspace columns, column
+    by column, and keyed together by ``table._joint_key``, which renumbers
+    rather than overflow or alias, so a row and a cell share a key exactly
+    when their codes are equal. The cells' keys are marked in a boolean
+    table of the key space, and a row hits when its key is marked.
+    """
+    k = len(cells)
+    columns = [np.concatenate([cells[:, j], by_attr[a]]) for j, a in enumerate(subspace)]
+    arities = [int(column.max()) + 1 for column in columns]
+    key, size = _joint_key(columns, arities, range(len(columns)),
+                           _KEYS_PER_ROW * (k + by_attr.shape[1]))
+    hit = np.zeros(size, dtype=bool)
+    hit[key[:k]] = True
+    return hit[key[k:]]
+
+
 def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
     """Score every row of a 2-D code array, one detector at a time.
 
-    A detector's accepted cells (read from its own set on every call) are
-    stacked above the rows' subspace columns, column by column, and keyed
-    together by ``table._joint_key``, which renumbers rather than overflow
-    or alias, so a row and a cell share a key exactly when their codes
-    are equal. The cells' keys are marked in a boolean table of the key
-    space, and a row accepts when its key is marked. Each row adds the
-    weights of the accepting detectors in detector order, starting from
-    0.0: the sums of ``_vote``, bit for bit. A cell holding a negative
-    code or one past int64 matches no row and is dropped.
+    Each voting detector adds its weight to the rows that hit its accepted
+    cells (``_hits``), so each row adds the weights of the accepting
+    detectors in detector order, starting from 0.0: the sums of ``_vote``,
+    bit for bit.
     """
     _check_width(codes, _width(detectors))
     by_attr = np.ascontiguousarray(codes.T)  # one copy, not a strided gather per detector
     scores = np.zeros(codes.shape[0])
     for d, w in zip(detectors, weights):
-        if w == 0.0 or not d.accepted_cells:
+        if w == 0.0:
             continue
-        try:
-            flat = np.fromiter(chain.from_iterable(d.accepted_cells), np.int64)
-        except OverflowError:  # a code outside int64, which no row holds
-            held = [c for c in d.accepted_cells if 0 <= min(c) and max(c) <= _MAX_CODE]
-            flat = np.fromiter(chain.from_iterable(held), np.int64)
-        cells = flat.reshape(-1, len(d.subspace))
-        cells = cells[(cells >= 0).all(axis=1)]  # no row holds a negative code
-        k = len(cells)
-        # per attribute, the cells' codes and then the rows'
-        columns = [np.concatenate([cells[:, j], by_attr[a]]) for j, a in enumerate(d.subspace)]
-        arities = [int(column.max()) + 1 for column in columns]
-        key, size = _joint_key(columns, arities, range(len(columns)),
-                               _KEYS_PER_ROW * (k + len(codes)))
-        hit = np.zeros(size, dtype=bool)
-        hit[key[:k]] = True
-        scores[hit[key[k:]]] += w
+        cells = _accepted_codes(d)
+        if len(cells):
+            scores[_hits(cells, by_attr, d.subspace)] += w
     return scores
 
 
@@ -222,30 +300,67 @@ def _code_row(row, width: int, what: str) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _counted_cells(d, width: int, where: str):
-    """The cells of a count-layout detector: (cell_mass, accepted_cells, fit_rows)."""
+def _counted_detector(d, attrs: tuple[int, ...], alpha: float, where: str) -> SubspaceDetector:
+    """A count-layout detector, held by its arrays when the writer would
+    write them back as read (ranked, counts summing to below 2^53);
+    otherwise by the dict and set, each mass ``count / sum(counts)``."""
+    width = len(attrs)
     cells = _require(d, "cells", list, where)
     counts = _require(d, "counts", list, where)
     k = _require(d, "accepted", int, where)
     if not _only(counts, int) or (counts and min(counts) < 1):
         raise SchemaError(f"{where} field 'counts' must hold integers of at least 1")
-    if (len(cells) != width * len(counts) or not _only(cells, int)
-            or (cells and not 0 <= min(cells) <= max(cells) <= _MAX_CODE)):
-        raise SchemaError(f"{where} field 'cells' must hold {width} codes in [0, 2^63) "
-                          f"for each of the {len(counts)} counts")
+    bad_cells = SchemaError(f"{where} field 'cells' must hold {width} codes in [0, 2^63) "
+                            f"for each of the {len(counts)} counts")
+    if len(cells) != width * len(counts) or not _only(cells, int):
+        raise bad_cells
+    try:
+        codes = np.fromiter(cells, np.int64, len(cells)).reshape(len(counts), width)
+    except OverflowError:  # a code outside int64
+        raise bad_cells from None
+    if codes.size and codes.min() < 0:
+        raise bad_cells
     if not 0 <= k <= len(counts):
         raise SchemaError(f"{where} field 'accepted' must be a number of cells "
                           f"in [0, {len(counts)}]")
-    n = sum(counts)
-    keys = list(zip(*[iter(cells)] * width))  # the flat codes, width at a time
-    cell_mass = dict(zip(keys, [c / n for c in counts]))
-    if len(cell_mass) != len(keys):
+    key = _cell_keys(codes)
+    if np.unique(key).size < len(key):
         raise SchemaError(f"{where} field 'cells' lists a cell twice")
-    return cell_mass, set(keys[:k]), n
+    n = sum(counts)
+    if 0 < n < _MAX_EXACT:
+        ranked = _Ranked(codes, np.array(counts, dtype=np.int64), k)
+        if _writes_back(ranked.counts, key, n):
+            return SubspaceDetector._of_ranked(attrs, alpha, ranked)
+    keys = list(zip(*[iter(cells)] * width))  # the flat codes, width at a time
+    return SubspaceDetector(attrs, dict(zip(keys, [c / n for c in counts])), set(keys[:k]),
+                            alpha, n)
+
+
+# a cell key's budget: keys and arities below it multiply without overflow
+_CELL_KEYS = 2**31
+
+
+def _cell_keys(codes: np.ndarray) -> np.ndarray:
+    """The joint key of each row of codes: keys sort as the rows do, and
+    are equal exactly when the rows are."""
+    if not codes.size:
+        return np.zeros(len(codes), dtype=np.int64)
+    columns = codes.T
+    arities = [m + 1 for m in columns.max(axis=1).tolist()]
+    return _joint_key(columns, arities, range(len(columns)), _CELL_KEYS)[0]
+
+
+def _writes_back(counts: np.ndarray, key: np.ndarray, n: int) -> bool:
+    """Whether the count layout holds cells of these counts and keys in
+    their order: by descending count, ties in increasing tuple order, each
+    count read back from its mass ``count / n`` (``_count_layout``)."""
+    step = np.diff(counts)
+    return bool((step <= 0).all() and ((step < 0) | (np.diff(key) > 0)).all()
+                and np.array_equal(np.rint(counts / n * n), counts))
 
 
 def _listed_cells(d, width: int, where: str):
-    """The cells of an explicit-layout detector: (cell_mass, accepted_cells, None)."""
+    """The cells of an explicit-layout detector: (cell_mass, accepted_cells)."""
     cells = _require(d, "cells", list, where)
     accepted = _require(d, "accepted", list, where)
     in_cells, in_accepted = f"{where} field 'cells'", f"{where} field 'accepted'"
@@ -269,7 +384,7 @@ def _listed_cells(d, width: int, where: str):
     accepted_cells = {_code_row(key, width, in_accepted) for key in accepted}
     if len(accepted_cells) != len(accepted):
         raise SchemaError(f"{in_accepted} lists a cell twice")
-    return cell_mass, accepted_cells, None
+    return cell_mass, accepted_cells
 
 
 def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
@@ -280,9 +395,10 @@ def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
         raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
     # 'counts' or an int 'accepted' marks the count layout, so a count-layout
     # detector missing either field is refused naming it
-    read = _counted_cells if "counts" in d or type(d.get("accepted")) is int else _listed_cells
-    cell_mass, accepted_cells, fit_rows = read(d, len(attrs), where)
-    return SubspaceDetector(tuple(attrs), cell_mass, accepted_cells, alpha, fit_rows)
+    if "counts" in d or type(d.get("accepted")) is int:
+        return _counted_detector(d, tuple(attrs), alpha, where)
+    cell_mass, accepted_cells = _listed_cells(d, len(attrs), where)
+    return SubspaceDetector(tuple(attrs), cell_mass, accepted_cells, alpha)
 
 
 def _count_layout(d: SubspaceDetector) -> dict | None:
@@ -320,6 +436,13 @@ def _count_layout(d: SubspaceDetector) -> dict | None:
             "counts": counts[order].tolist(), "accepted": k}
 
 
+def _ranked_layout(d: SubspaceDetector) -> dict:
+    """The count layout of a detector its arrays hold: the arrays as they are."""
+    cells, counts, k = d._ranked
+    return {"attrs": list(d.subspace), "cells": cells.ravel().tolist(),
+            "counts": counts.tolist(), "accepted": k}
+
+
 def _explicit_layout(d: SubspaceDetector) -> dict:
     """The detector as ``[cell, mass]`` pairs and its accepted cells, each in tuple order."""
     return {
@@ -351,7 +474,8 @@ class EnsembleModel:
             "alpha": self.alpha,
             "rho": self.rho,
             "weights": [float(w) for w in self.weights],
-            "detectors": [_count_layout(d) or _explicit_layout(d) for d in self.detectors],
+            "detectors": [_ranked_layout(d) if d._ranked is not None
+                          else _count_layout(d) or _explicit_layout(d) for d in self.detectors],
         }
         if self.preprocess is not None:
             doc["preprocess"] = self.preprocess.to_json_dict()
@@ -436,14 +560,15 @@ def fit_ensemble(
     if fit_idx.size == 0 or val_idx.size == 0:
         raise ValueError("split left an empty part")
     fit_part = train.take_rows(fit_idx)
-    val_rows = train.codes[val_idx].tolist()
+    val_by_attr = np.ascontiguousarray(train.codes[val_idx].T)
 
     detectors = [fit_detector(fit_part, attrs, alpha) for attrs in attr_sets]
-    # each detector's vote on every validation row, its cell read as _vote reads it
-    votes = np.array([
-        list(map(d.accepted_cells.__contains__, map(_cell_getter(d.subspace), val_rows)))
-        for d in detectors
-    ], dtype=np.float64)
+    # each detector's 0/1 vote on every validation row, from the table kernel's hit table
+    votes = np.zeros((len(detectors), val_idx.size))
+    for vote, d in zip(votes, detectors):
+        cells = _accepted_codes(d)
+        if len(cells):
+            vote[_hits(cells, val_by_attr, d.subspace)] = 1.0
     errors = 1.0 - votes.mean(axis=1)
     raw = 1.0 - errors
     total = raw.sum()

@@ -15,13 +15,14 @@ every n-th field from field j. Any other file goes through
 cells as floats in one pass (``float`` ignores the whitespace
 ``str.strip`` removes) and strips cells only where that pass cannot
 decide: a categorical column, or a cell that is not a number as it
-stands.
+stands. ``load_csv_for`` reads a file to apply a fitted model to, the
+same way, but types each column as its model column instead of by its
+cells.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections import Counter
@@ -98,22 +99,58 @@ def load_csv(
     distinct: a repeated name raises ParseError, as does a file that is
     not UTF-8 or one ``csv`` refuses (a field past its size limit).
     """
+    names, columns = _read_columns(path, delimiter, header)
+    missing, as_nan = _missing(missing_markers)
+    return RawTable([_typed_column(name, cells, missing, as_nan)
+                     for name, cells in zip(names, columns)])
+
+
+def load_csv_for(
+    model: PreprocessModel,
+    path,
+    delimiter: str = ",",
+    missing_markers=DEFAULT_MISSING,
+) -> RawTable:
+    """Read a CSV file with a header, as ``load_csv`` does, to apply a
+    fitted ``model`` to it: each column takes its model column's kind.
+
+    A numeric column's cells are read as numbers, missing and non-finite
+    ones as NaN; a categorical column's stripped cells are its symbols,
+    missing ones None. So a column's kind never depends on which symbols
+    one file happens to hold. Raises SchemaError when the columns' number
+    or names differ from the model's, or when a cell of a numeric column
+    is neither missing nor a number.
+    """
+    names, columns = _read_columns(path, delimiter, True)
+    _check_names(model, names)
+    missing, as_nan = _missing(missing_markers)
+    out = []
+    for cm, cells in zip(model.columns, columns):
+        if cm.kind == NUMERIC:
+            values = _numbers(cm.name, cells, missing, as_nan)
+        else:
+            values = _symbols(list(map(str.strip, cells)), missing)
+        out.append(RawColumn(cm.name, cm.kind, values))
+    return RawTable(out)
+
+
+def _read_columns(path, delimiter: str, header: bool):
+    """The file's column names and each column's raw cells, one list per
+    column as a generator; ParseError for a file no table can come from."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text") from exc
     lines = _plain_lines(text, delimiter)
+    del text
     if lines is None:
-        encoded = text.encode("utf-8")
-        del text
-        rows = _reader_rows(path, encoded, delimiter)
+        rows = _reader_rows(path, delimiter)
         names = _names(path, rows[0] if rows else None, header)
         data = rows[1:] if header else rows
         _check_widths(path, map(len, data), len(names), header)
         columns = zip(*data)
     else:
-        del text
         names = _names(path, _fields(lines[0], delimiter) if lines else None, header)
         data = lines[1:] if header else lines
         del lines
@@ -121,16 +158,18 @@ def load_csv(
         if set(map(str.count, data, repeat(delimiter))) - {n_cols - 1} or "" in data:
             # some line has not n_cols fields; an empty one has none
             _check_widths(path, (len(_fields(line, delimiter)) for line in data), n_cols, header)
-        columns = _strided(data, delimiter, n_cols)
+        columns = _strided(data, delimiter, n_cols)  # it frees the lines as it splits them
     if not data:
         raise ParseError(f"{path}: no data rows")
-    del data  # _strided frees the lines as it splits them
+    return names, columns
 
+
+def _missing(missing_markers) -> tuple[set, dict | None]:
+    """The markers a stripped cell can equal, and the map that reads each as
+    ``"nan"`` (None when a marker reads as a number)."""
     # a marker with outer whitespace never equals a stripped cell
     missing = {m for m in missing_markers if m == m.strip()}
-    as_nan = None if any(map(_is_number, missing)) else dict.fromkeys(missing, "nan")
-    return RawTable([_typed_column(name, cells, missing, as_nan)
-                     for name, cells in zip(names, columns)])
+    return missing, None if any(map(_is_number, missing)) else dict.fromkeys(missing, "nan")
 
 
 # a file holding one of these goes through csv.reader
@@ -163,18 +202,15 @@ def _fields(line: str, delimiter: str) -> list[str]:
     return line.split(delimiter) if line else []
 
 
-def _reader_rows(path, encoded: bytes, delimiter: str) -> list[list[str]]:
-    """The rows ``csv.reader`` reads from the file's text, UTF-8 encoded.
-
-    The text is decoded again line by line, as from the file, rather than
-    held whole in an ``io.StringIO``, which stores 4 bytes a character.
-    """
-    source = io.TextIOWrapper(io.BytesIO(encoded), encoding="utf-8", newline="")
-    reader = csv.reader(source, delimiter=delimiter)
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+def _reader_rows(path, delimiter: str) -> list[list[str]]:
+    """The rows ``csv.reader`` reads from the file, read from it again as
+    a stream rather than from its whole text in memory."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _names(path, first: list[str] | None, header: bool) -> list[str]:
@@ -224,44 +260,59 @@ def _typed_column(name: str, cells: list[str], missing: set, as_nan: dict | None
     """A column of raw cells, typed as a column of its stripped cells.
 
     ``float`` ignores the whitespace ``str.strip`` removes, so a column is
-    first parsed from its raw cells, each marker read as ``"nan"``
-    (``as_nan``, None when a marker reads as a number). Only when that
-    fails, or finds no finite number, are the cells stripped and typed
-    one by one.
+    first parsed from its raw cells (``_parsed``). Only when that fails,
+    or finds no finite number, are the cells stripped and typed one by one.
     """
-    if as_nan is not None:
-        try:
-            values = np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, len(cells))
-        except ValueError:
-            pass
-        else:
-            finite = np.isfinite(values)
-            if finite.any():
-                values[~finite] = math.nan
-                return RawColumn(name, NUMERIC, values)
-    cells = list(map(str.strip, cells))
-    values = _numeric_values(cells, missing)
-    if values is not None:
-        return RawColumn(name, NUMERIC, values)
-    none = dict.fromkeys(missing)
-    values = np.fromiter(map(none.get, cells, cells), object, len(cells))
-    return RawColumn(name, CATEGORICAL, values)
+    values = _parsed(cells, as_nan)
+    if values is None or not np.isfinite(values).any():
+        cells = list(map(str.strip, cells))
+        values = None if all(c in missing for c in cells) else _stripped_numbers(cells, missing)
+        if values is None:
+            return RawColumn(name, CATEGORICAL, _symbols(cells, missing))
+    values[~np.isfinite(values)] = math.nan
+    return RawColumn(name, NUMERIC, values)
 
 
-def _numeric_values(cells: list[str], missing: set) -> np.ndarray | None:
-    """A column's cells as floats, NaN where missing or non-finite, in one pass.
-
-    None when no cell is present or at the first present cell that is not
-    a number: the column is categorical.
-    """
-    if all(c in missing for c in cells):
-        return None
-    try:
-        values = np.array([math.nan if c in missing else float(c) for c in cells])
-    except ValueError:
-        return None
+def _numbers(name: str, cells: list[str], missing: set, as_nan: dict | None) -> np.ndarray:
+    """A numeric column's raw cells as floats, NaN where missing or
+    non-finite; SchemaError naming the first cell that is not a number."""
+    values = _parsed(cells, as_nan)
+    if values is None:
+        cells = list(map(str.strip, cells))
+        values = _stripped_numbers(cells, missing)
+        if values is None:
+            row, cell = next((i, c) for i, c in enumerate(cells)
+                             if c not in missing and not _is_number(c))
+            raise SchemaError(f"column {name!r}: expected numeric values, "
+                              f"got {cell!r} in row {row + 2}")
     values[~np.isfinite(values)] = math.nan
     return values
+
+
+def _parsed(cells: list[str], as_nan: dict | None) -> np.ndarray | None:
+    """The raw cells as floats in one pass, each marker read as ``"nan"``;
+    None when a cell is not a number as it stands, or ``as_nan`` is None."""
+    if as_nan is None:
+        return None
+    try:
+        return np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, len(cells))
+    except ValueError:
+        return None
+
+
+def _stripped_numbers(cells: list[str], missing: set) -> np.ndarray | None:
+    """Stripped cells as floats, NaN where missing; None at the first
+    present cell that is not a number."""
+    try:
+        return np.array([math.nan if c in missing else float(c) for c in cells], dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _symbols(cells: list[str], missing: set) -> np.ndarray:
+    """Stripped cells as a categorical column's values, None where missing."""
+    none = dict.fromkeys(missing)
+    return np.fromiter(map(none.get, cells, cells), object, len(cells))
 
 
 @dataclass
@@ -406,12 +457,13 @@ def fit_preprocessor(train: RawTable, bins: int = 10) -> PreprocessModel:
     return PreprocessModel(columns=models, bins=bins)
 
 
-def _typed_as(cm: ColumnModel, col: RawColumn) -> RawColumn:
-    """``col`` as a numeric column of NaNs when the model says numeric and
-    every cell is missing: ``load_csv`` types such a column categorical."""
-    if cm.kind == NUMERIC and col.kind == CATEGORICAL and all(v is None for v in col.values):
-        return RawColumn(col.name, NUMERIC, np.full(col.values.shape[0], math.nan))
-    return col
+def _check_names(model: PreprocessModel, names: list[str]) -> None:
+    """SchemaError unless ``names`` are the model's column names, in order."""
+    if len(names) != len(model.columns):
+        raise SchemaError(f"expected {len(model.columns)} columns, got {len(names)}")
+    for cm, name in zip(model.columns, names):
+        if cm.name != name:
+            raise SchemaError(f"column mismatch: expected {cm.name!r}, got {name!r}")
 
 
 def apply_preprocessor(model: PreprocessModel, data: RawTable) -> DiscreteTable:
@@ -420,22 +472,16 @@ def apply_preprocessor(model: PreprocessModel, data: RawTable) -> DiscreteTable:
     Numeric: value <= edge_k selects bin k; above the last edge selects
     the last bin. Categorical symbols unseen at fit time map to the
     reserved unknown code (the slot past the training dictionary) rather
-    than being laundered into the mode. Column types come from the model:
-    an entirely missing column is imputed whatever type the file gave it.
+    than being laundered into the mode. Each column must be of its model
+    column's kind; ``load_csv_for`` reads a file that way.
     """
-    if data.n_attrs != len(model.columns):
-        raise SchemaError(
-            f"expected {len(model.columns)} columns, got {data.n_attrs}"
-        )
-    columns = [_typed_as(cm, col) for cm, col in zip(model.columns, data.columns)]
-    for cm, col in zip(model.columns, columns):
-        if cm.name != col.name:
-            raise SchemaError(f"column mismatch: expected {cm.name!r}, got {col.name!r}")
+    _check_names(model, data.names)
+    for cm, col in zip(model.columns, data.columns):
         if cm.kind != col.kind:
             raise SchemaError(f"column {col.name!r}: expected {cm.kind} values, got {col.kind}")
     coded = np.empty((data.n_rows, data.n_attrs), dtype=np.int64)
     names = []
-    for j, (cm, col) in enumerate(zip(model.columns, columns)):
+    for j, (cm, col) in enumerate(zip(model.columns, data.columns)):
         if cm.kind == NUMERIC:
             values = col.values.copy()
             values[np.isnan(values)] = cm.mean

@@ -177,7 +177,7 @@ def calibration_of(detectors, val_rows, alpha):
     return weights, float(scores[min(int(np.floor(alpha * scores.size)), scores.size - 1)])
 
 
-def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True):
+def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True, kinds=None):
     """Reference CSV reading: the column names and one (kind, values) per column.
 
     Rows come from csv.reader over the file. A column is numeric iff it
@@ -186,6 +186,9 @@ def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True):
     Otherwise it is categorical: the stripped text, None for missing. A
     file with no row, a repeated (stripped) name, a data row of another
     width or no data row raises ValueError with ``load_csv``'s message.
+
+    ``kinds``, one per column, types the columns instead: a numeric column
+    with a present cell that is not a number raises ValueError naming it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
@@ -215,7 +218,10 @@ def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True):
     for j in range(len(names)):
         cells = [row[j].strip() for row in rows]
         present = [c for c in cells if c not in missing]
-        if present and all(is_number(c) for c in present):
+        numbers = all(is_number(c) for c in present)
+        if kinds is not None and kinds[j] == "numeric" and not numbers:
+            raise ValueError(f"column {names[j]!r} holds a cell that is not a number")
+        if (present and numbers) if kinds is None else kinds[j] == "numeric":
             values = np.array([math.nan if c in missing else float(c) for c in cells])
             values[~np.isfinite(values)] = math.nan
             out.append(("numeric", values))

@@ -329,12 +329,12 @@ def _small_csv_text():
 
 
 @st.composite
-def mutated_csvs(draw):
-    """The small valid CSV with one to three faults drawn into it."""
-    rows = [line.split(",") for line in _small_csv_text().splitlines()]
+def mutated_csvs(draw, text=None):
+    """A valid CSV, by default the small one, with one to three faults drawn into it."""
+    rows = [line.split(",") for line in (text or _small_csv_text()).splitlines()]
     for _ in range(draw(st.integers(1, 3))):
         fault = draw(st.sampled_from(("truncate", "drop-column", "blank-header", "cell",
-                                      "repeat-row")))
+                                      "repeat-row", "numbers-only")))
         data = rows[1:]
         if fault == "truncate":
             rows = rows[:1 + draw(st.integers(0, len(data)))]
@@ -350,7 +350,21 @@ def mutated_csvs(draw):
         elif fault == "repeat-row" and data:
             repeated = data[draw(st.integers(0, len(data) - 1))]
             rows = [rows[0], *(list(repeated) for _ in data)]
+        elif fault == "numbers-only" and data and rows[0]:
+            # a column's cells that are not numbers become numbers
+            j = draw(st.integers(0, len(rows[0]) - 1))
+            for row in data:
+                if j < len(row) and not _is_number(row[j]):
+                    row[j] = draw(st.sampled_from(("1", "2", " 2 ", "0.5")))
     return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +464,111 @@ def test_a_mutated_model_exits_0_or_2_from_score(fault_dir, model_docs, data):
     code = run("score", "--input", fault_dir / "clean.csv", "--model", model_path,
                "--output", fault_dir / "mutated_scores.csv")
     assert code in (0, 2), doc
+
+
+def _symbol_csv_text():
+    """The small CSV with a categorical column 'c' of the symbols 1, 2 and a."""
+    lines = _small_csv_text().splitlines()
+    return "".join(f"{line},{'c' if i == 0 else '12a'[i % 3]}\n" for i, line in enumerate(lines))
+
+
+@pytest.fixture(scope="module")
+def symbol_dir(tmp_path_factory):
+    """A directory holding a model trained on ``_symbol_csv_text``."""
+    path = tmp_path_factory.mktemp("symbols")
+    clean = path / "clean.csv"
+    clean.write_text(_symbol_csv_text(), encoding="utf-8")
+    assert run("train", "--input", clean, "--output", path / "model.json") == 0
+    return path
+
+
+def scores_as_before(model, path):
+    """scores.csv as ``aag score`` wrote it while ``load_csv`` typed the
+    score file's columns, or None for a file it refused: the model's kind
+    was taken only by a column with no present cell, and each row's line
+    was formatted on its own."""
+    columns = model.preprocess.columns
+    try:
+        raw = aag.load_csv(path)
+        if raw.n_attrs == len(columns):
+            raw = aag.RawTable([
+                aag.RawColumn(c.name, "numeric", np.full(raw.n_rows, np.nan))
+                if cm.kind == "numeric" and c.kind == "categorical"
+                and all(v is None for v in c.values) else c
+                for cm, c in zip(columns, raw.columns)])
+        coded = aag.apply_preprocessor(model.preprocess, raw)
+    except (aag.AagError, ValueError):
+        return None
+    scores, labels = aag.classify_table(model, coded)
+    return "row_index,score,label\n" + "".join(
+        f"{i},{s:.6f},{label}\n" for i, (s, label) in enumerate(zip(scores.tolist(), labels)))
+
+
+def load_kinds(path):
+    return {c.name: c.kind for c in aag.load_csv(path).columns}
+
+
+class TestScoreFileTypes:
+    """``aag score`` types each column of the file by its model column."""
+
+    def test_categorical_symbols_that_read_as_numbers_score(self, symbol_dir, capsys):
+        lines = _symbol_csv_text().splitlines(keepends=True)
+        numbers_only = [line for line in lines[1:] if not line.endswith(",a\n")]
+        with_a = lines[:1] + numbers_only + [line for line in lines if line.endswith(",a\n")][:1]
+        outputs = []
+        for name, text in (("numbers", lines[:1] + numbers_only), ("with-a", with_a)):
+            path = symbol_dir / f"{name}.csv"
+            path.write_text("".join(text), encoding="utf-8")
+            assert load_kinds(path)["c"] == ("numeric" if name == "numbers" else "categorical")
+            out = symbol_dir / f"{name}-scores.csv"
+            assert run("score", "--input", path, "--model", symbol_dir / "model.json",
+                       "--output", out) == 0, capsys.readouterr().err
+            outputs.append(out.read_text(encoding="utf-8").splitlines())
+        # the rows both files hold score the same
+        assert outputs[0] == outputs[1][:-1]
+        assert len(outputs[0]) == len(numbers_only) + 1
+
+    def test_a_word_in_a_numeric_column_exits_2_naming_column_and_row(self, symbol_dir, capsys):
+        lines = _symbol_csv_text().splitlines(keepends=True)
+        lines[3] = "word" + lines[3][lines[3].index(","):]
+        path = symbol_dir / "word.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        code = run("score", "--input", path, "--model", symbol_dir / "model.json",
+                   "--output", symbol_dir / "word-scores.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "column 'a0': expected numeric values, got 'word' in row 4" in err
+
+
+@settings(max_examples=60)
+@given(text=mutated_csvs(_symbol_csv_text()))
+def test_a_file_that_scored_before_scores_the_same_bytes(symbol_dir, text):
+    data = symbol_dir / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    out = symbol_dir / "scores.csv"
+    out.unlink(missing_ok=True)
+    model_path = symbol_dir / "model.json"
+    code = run("score", "--input", data, "--model", model_path, "--output", out)
+    before = scores_as_before(aag.EnsembleModel.from_json(model_path.read_text()), data)
+    if before is None:
+        assert code in (0, 2)
+    else:
+        assert code == 0
+        assert out.read_bytes() == before.encode("utf-8")
+
+
+SCORE_VALUES = (0.0, -0.0, 0.25, 0.5, 0.5000000000000001, 1.0, 1 / 3, 1e-300, 5e-7, 4.9999999e-7,
+                float("nan"), float("inf"), -1.5)
+
+
+@given(st.lists(st.sampled_from(SCORE_VALUES) | st.floats(), min_size=1, max_size=300),
+       st.sampled_from((0.0, 0.5, 1 / 3, float("inf"))))
+def test_scores_csv_formats_each_distinct_score_as_each_row_did(values, rho):
+    scores = np.array(values, dtype=np.float64)
+    labels = ["normal" if s >= rho else "anomaly" for s in scores.tolist()]
+    want = "row_index,score,label\n" + "".join(
+        f"{i},{s:.6f},{label}\n" for i, (s, label) in enumerate(zip(scores.tolist(), labels)))
+    assert cli._scores_csv(scores, labels) == want
 
 
 class TestCsvHeaders:

@@ -1,5 +1,8 @@
 import json
+import sys
+import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from aag import ensemble
 from aag.ensemble import (
     EnsembleModel,
     SubspaceDetector,
@@ -704,3 +708,148 @@ class TestModelFileLayouts:
         assert layouts(text) == ["count", "explicit"]
         with pytest.raises(SchemaError, match=f"detector 1 field '{field}'"):
             EnsembleModel.from_json(text)
+
+
+def touched(detectors):
+    """The detectors, each handed to its views by reading one."""
+    for d in detectors:
+        d.cell_mass
+    return detectors
+
+
+def ranked_cells(d):
+    """A detector's cells by descending count, ties in tuple order, read from its views."""
+    return sorted(d.cell_mass, key=lambda cell: (-d.cell_mass[cell], cell))
+
+
+class TestArrayBackedDetectors:
+    @settings(max_examples=30)
+    @given(vote_cases())
+    def test_fitted_and_read_back_arrays_score_and_write_as_their_views(self, case):
+        fit, subspaces, alpha, score = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        text = model.to_json()
+        for held in (model, EnsembleModel.from_json(text)):
+            assert all(d._ranked is not None for d in held.detectors)
+            viewed = EnsembleModel.from_json(text)
+            touched(viewed.detectors)
+            assert all(d._ranked is None for d in viewed.detectors)
+            assert held.to_json() == viewed.to_json() == text
+            assert (classify_table(held, score)[0].tobytes()
+                    == classify_table(viewed, score)[0].tobytes())
+            assert all(d._ranked is not None for d in held.detectors)
+
+    @settings(max_examples=30)
+    @given(vote_cases())
+    def test_arrays_equal_the_views_they_build(self, case):
+        fit, subspaces, alpha, _ = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        for held in (model, EnsembleModel.from_json(model.to_json())):
+            for d in held.detectors:
+                cells, counts, k = d._ranked
+                assert d.fit_rows == int(counts.sum())
+                ranked = ranked_cells(d)
+                assert [tuple(c) for c in cells.tolist()] == ranked
+                assert [d.cell_mass[c] for c in ranked] == [c / d.fit_rows for c in counts.tolist()]
+                assert d.accepted_cells == set(ranked[:k])
+                assert d._ranked is None
+
+    @settings(max_examples=30)
+    @given(vote_cases())
+    def test_calibration_votes_and_rho_match_the_view_path(self, case):
+        fit, subspaces, alpha, _ = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        with mock.patch.object(ensemble, "fit_detector",
+                               lambda *args: touched([fit_detector(*args)])[0]):
+            viewed = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        assert all(d._ranked is None for d in viewed.detectors)
+        assert model.weights.tobytes() == viewed.weights.tobytes()
+        assert model.rho == viewed.rho
+        # each detector's validation votes, one detector at a time
+        _, val_idx = split_indices(fit.n_rows, 0.3, 4)
+        val = fit.codes[val_idx]
+        for held, view in zip(model.detectors, viewed.detectors):
+            votes = ensemble._column_vote([held], [1.0], val)
+            assert votes.tolist() == [oracles.vote_of(view, row) for row in val]
+            assert votes.tobytes() == ensemble._column_vote([view], [1.0], val).tobytes()
+
+    @settings(max_examples=20)
+    @given(vote_cases(), st.data())
+    def test_a_cell_listed_twice_is_refused_on_a_wide_subspace(self, case, data):
+        fit, subspaces, alpha, _ = case
+        doc = fit_ensemble(fit, subspaces, alpha=alpha, seed=4).to_json_dict()
+        det = doc["detectors"][0]  # the subspace whose cell space passes 2^63
+        width, n_cells = len(det["attrs"]), len(det["counts"])
+        assert width >= 24 and n_cells >= 2
+        i, j = sorted(data.draw(st.lists(st.integers(0, n_cells - 1), min_size=2, max_size=2,
+                                         unique=True)))
+        det["cells"][j * width:(j + 1) * width] = det["cells"][i * width:(i + 1) * width]
+        with pytest.raises(SchemaError, match="detector 0 field 'cells' lists a cell twice"):
+            EnsembleModel.from_json_dict(doc)
+
+    def test_a_file_not_in_rank_order_is_read_into_the_views(self):
+        doc = json.loads(PINNED_COUNT)
+        det = doc["detectors"][1]  # counts [4, 3, 2, 2, 1, 1]: swap the tied (0, 2) and (2, 2)
+        det["cells"][8:12] = [2, 2, 0, 2]
+        d = EnsembleModel.from_json_dict(doc).detectors[1]
+        assert d._ranked is None
+        assert d.accepted_cells == {(1, 1), (0, 1), (1, 0), (2, 0), (2, 2)}
+        # written as the views' rules say: the accepted cells are no ranked prefix
+        assert layouts(EnsembleModel.from_json_dict(doc).to_json()) == ["count", "explicit"]
+
+    def test_cells_edited_through_a_view_vote_and_are_written(self):
+        model = pinned_model()
+        table = table_from_rows([[2, 2], [0, 1]])
+        d = model.detectors[1]
+        assert d._ranked is not None
+        d.accepted_cells.add((2, 2))  # the view is built from the arrays, then edited
+        assert d._ranked is None
+        assert classify_table(model, table)[0].tolist() == [1.0, 1.0]
+        # every cell is accepted now, still a ranked prefix
+        assert json.loads(model.to_json())["detectors"][1]["accepted"] == 6
+
+    def test_assigning_a_field_hands_the_detector_to_its_views(self):
+        model = pinned_model()
+        d = model.detectors[1]
+        d.fit_rows = None  # without it the count layout cannot be written
+        assert d._ranked is None
+        assert layouts(model.to_json()) == ["count", "explicit"]
+        assert EnsembleModel.from_json(model.to_json()).detectors[1].cell_mass == d.cell_mass
+
+    def test_equality_and_replace_read_the_views(self):
+        a, b = pinned_model().detectors[1], pinned_model().detectors[1]
+        assert a == b
+        built = replace(a, accepted_cells=set())
+        assert built.cell_mass is a.cell_mass and built.accepted_cells == set()
+        assert (a._ranked, built._ranked) == (None, None)
+
+    def test_threads_scoring_a_fresh_model_build_each_view_once(self):
+        rng = np.random.default_rng(62)
+        fit = random_table(rng, n_rows=200, n_attrs=6)
+        text = fit_ensemble(fit, [(0, 1, 2), (3, 4), (5,), (1, 4)], alpha=0.1, seed=4).to_json()
+        rows = fit.codes[:50]
+        want = [classify(EnsembleModel.from_json(text), row) for row in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                model = EnsembleModel.from_json(text)
+                got = [None] * 6
+
+                def score(i, model=model, got=got):
+                    got[i] = [classify(model, row) for row in rows]
+
+                threads = [threading.Thread(target=score, args=(i,)) for i in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want] * 6
+                # the layout reads the very sets the detectors hold, so later edits vote
+                assert [cells for _, cells, _ in model._layout.parts] == [
+                    d.accepted_cells for d in model.detectors]
+                assert all(cells is d.accepted_cells
+                           for (_, cells, _), d in zip(model._layout.parts, model.detectors))
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from aag.errors import ParseError, SchemaError, UnusableColumnError
 from aag.preprocess import (
     CATEGORICAL,
     NUMERIC,
+    ColumnModel,
     PreprocessModel,
     RawColumn,
     RawTable,
@@ -20,6 +22,7 @@ from aag.preprocess import (
     apply_preprocessor,
     fit_preprocessor,
     load_csv,
+    load_csv_for,
 )
 
 
@@ -246,6 +249,44 @@ class TestOnePassTyping:
         assert raw.names == names
         assert_columns_equal(raw, want)
 
+    @settings(max_examples=200)
+    @given(csv_files(), st.data())
+    def test_files_read_for_a_model_take_its_column_kinds(self, case, data):
+        text, delimiter, markers, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                names, _ = oracles.csv_columns_of(path, delimiter, markers)
+            except ValueError as exc:
+                with pytest.raises(ParseError) as got:
+                    load_csv(path, delimiter, markers)
+                assert str(got.value) == str(exc)
+                return
+            kinds = data.draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]),
+                                       min_size=len(names), max_size=len(names)))
+            model = PreprocessModel([ColumnModel(n, kind) for n, kind in zip(names, kinds)], 2)
+            try:
+                _, want = oracles.csv_columns_of(path, delimiter, markers, kinds=kinds)
+            except ValueError as exc:
+                name = str(exc).split("'")[1]
+                want = re.escape(f"column '{name}': expected numeric")
+                with pytest.raises(SchemaError, match=want):
+                    load_csv_for(model, path, delimiter, markers)
+                return
+            raw = load_csv_for(model, path, delimiter, markers)
+        assert raw.names == names
+        assert_columns_equal(raw, want)
+
+    def test_file_read_for_a_model_needs_its_column_names(self, tmp_path):
+        model = PreprocessModel([ColumnModel("x", NUMERIC), ColumnModel("c", CATEGORICAL)], 2)
+        with pytest.raises(SchemaError, match="expected 2 columns, got 1"):
+            load_csv_for(model, write(tmp_path, "x\n1\n"))
+        with pytest.raises(SchemaError, match="expected 'c', got 'y'"):
+            load_csv_for(model, write(tmp_path, "x,y\n1,2\n"))
+        with pytest.raises(SchemaError, match="'x': expected numeric values, got 'a' in row 3"):
+            load_csv_for(model, write(tmp_path, "x,c\n1,2\n a ,3\n"))
+
     def test_all_missing_column_stays_categorical(self, tmp_path):
         raw = load_csv(write(tmp_path, "x,y\n?,1\n,2\n"))
         assert raw.column("x").kind == CATEGORICAL
@@ -328,9 +369,14 @@ class TestApplyPreprocessor:
 
     def test_all_missing_column_takes_the_model_type(self, tmp_path):
         # load_csv types a column with no present cell as categorical
-        raw = load_csv(write(tmp_path, 'x\n?\n""\n'))
-        assert raw.columns[0].kind == CATEGORICAL
+        path = write(tmp_path, 'x\n?\n""\n')
+        assert load_csv(path).columns[0].kind == CATEGORICAL
         model = fit_preprocessor(numeric_table([0.0, 0.0, 10.0, 10.0, 10.0]), bins=2)
+        with pytest.raises(SchemaError, match="'x': expected numeric values, got categorical"):
+            apply_preprocessor(model, load_csv(path))
+        # load_csv_for reads each column as its model column's kind
+        raw = load_csv_for(model, path)
+        assert raw.columns[0].kind == NUMERIC
         coded = apply_preprocessor(model, raw)
         # both rows get the training mean 6.0, the upper bin
         assert coded.codes[:, 0].tolist() == [1, 1]

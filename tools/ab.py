@@ -118,7 +118,11 @@ def prepare(aag, inputs, out: Path, k: int, n_tables: int, seed: int) -> SimpleN
     t.text = aag.fit_ensemble(t.coded, t.subspaces, preprocess=t.pp).to_json()
     if t.text != Path(model_json).read_text(encoding="utf-8"):
         raise RuntimeError(f"{out}: the library phases do not rebuild aag train's model.json")
-    t.model = aag.EnsembleModel.from_json(t.text)
+    t.model = aag.EnsembleModel.from_json(t.text)  # one-row classify and the meaning check
+    # to_json and classify_table get a model as aag score reads it: reading a
+    # detector's cell_mass or accepted_cells, as one-row calls do, changes
+    # which path they take
+    t.read = aag.EnsembleModel.from_json(t.text)
     rng = np.random.default_rng([seed, 1, k])  # perfbench's classify sample
     take = SAMPLE // n_tables + (k < SAMPLE % n_tables)
     rows = rng.choice(t.coded_score.n_rows, size=min(take, t.coded_score.n_rows), replace=False)
@@ -159,9 +163,9 @@ def phases(t: SimpleNamespace) -> dict:
         "apply_score": lambda: aag.apply_preprocessor(t.pp, t.raw_score),
         "run_aag": lambda: aag.run_aag(t.fit_rows),
         "fit_ensemble": lambda: aag.fit_ensemble(t.coded, t.subspaces, preprocess=t.pp),
-        "to_json": t.model.to_json,
+        "to_json": t.read.to_json,
         "from_json": lambda: aag.EnsembleModel.from_json(t.text),
-        "classify_table": lambda: aag.classify_table(t.model, t.coded_score),
+        "classify_table": lambda: aag.classify_table(t.read, t.coded_score),
         "classify": classify,
     }
 
