@@ -33,8 +33,7 @@ from .ensemble import EnsembleModel, classify_table, fit_ensemble, split_indices
 from .errors import AagError, SchemaError
 from .evaluation import f1_score, generate_setting1, generate_setting3, stability_index
 from .grouping import SubspaceSet, run_aag
-from .preprocess import (DEFAULT_MISSING, apply_preprocessor, fit_preprocessor, load_csv,
-                         load_csv_for)
+from .preprocess import DEFAULT_MISSING, apply_preprocessor, code_csv, fit_preprocessor, load_csv
 
 log = logging.getLogger("aag")
 
@@ -182,9 +181,8 @@ def cmd_score(args) -> int:
     model = EnsembleModel.from_json(text)
     if model.preprocess is None:
         raise AagError("model file carries no preprocessing parameters")
-    raw = _timed("load", load_csv_for, model.preprocess, args.input, delimiter=args.delimiter,
-                 missing_markers=_markers(args))
-    coded = apply_preprocessor(model.preprocess, raw)
+    coded = _timed("load", code_csv, model.preprocess, args.input, delimiter=args.delimiter,
+                   missing_markers=_markers(args))
     scores, labels = _timed("score", classify_table, model, coded)
     _write(args.output, _scores_csv(scores, labels))
     return 0

@@ -14,7 +14,10 @@ The public ``cell_mass`` dict and ``accepted_cells`` set are views, built
 from the arrays when first read. The rule has one bit: the arrays hold
 the detector until a view is read or a field assigned; after that, and
 for a detector built through the constructor, the dict and the set hold
-it, so cells added to them vote and are written.
+it, so cells added to them vote and are written. One-row calls do not
+read the views: they look cells up in a tuple set of the accepted prefix,
+built once and kept beside the arrays, which the ``accepted_cells`` view
+then adopts as it is, so a cell added to the view votes in both kernels.
 
 Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
@@ -24,7 +27,7 @@ scores the one row of a one-row call (``classify``,
 codes, checks its width and turns it into a list, and each voting
 detector reads its cell from that list with a getter
 (``operator.itemgetter`` over its subspace) and looks it up in its
-accepted set, a view built once per model. The table kernel,
+accepted tuple set, taken once per model. The table kernel,
 ``_column_vote``, serves ``classify_table``: it takes one detector at a
 time, keys its accepted cells and the rows together (``_hits``) and adds
 its weight to every accepting row at once. Calibration takes each
@@ -103,6 +106,7 @@ class SubspaceDetector:
     fit_rows: int | None = None  # the rows it was fitted on; each mass is count / fit_rows
 
     _ranked = None  # the arrays while they hold the detector (not a field)
+    _accepted = None  # their accepted prefix as a tuple set, once a one-row call needs it
 
     @classmethod
     def _of_ranked(cls, subspace: tuple[int, ...], alpha: float, ranked: _Ranked):
@@ -118,8 +122,24 @@ class SubspaceDetector:
             cells, counts, k = self._ranked
             keys = list(map(tuple, cells.tolist()))
             n = self.fit_rows
+            # the set one-row layouts already hold becomes the view, so edits to it vote there
+            accepted = self.__dict__.pop("_accepted", None)
             self.__dict__.update(cell_mass=dict(zip(keys, [c / n for c in counts.tolist()])),
-                                 accepted_cells=set(keys[:k]), _ranked=None)
+                                 accepted_cells=set(keys[:k]) if accepted is None else accepted,
+                                 _ranked=None)
+
+    def _accepted_set(self) -> set:
+        """The accepted cells as a set of tuples, without handing the
+        detector to its views: the view once built, else a set built once
+        from the arrays' accepted prefix and kept beside them."""
+        with _TO_VIEWS:
+            ranked = self._ranked
+            if ranked is None:
+                return self.__dict__["accepted_cells"]
+            if self._accepted is None:
+                cells = ranked.cells[:ranked.n_accepted].tolist()
+                self.__dict__["_accepted"] = set(map(tuple, cells))
+            return self._accepted
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: a view not built yet
@@ -176,9 +196,9 @@ class _Layout:
 
     @classmethod
     def of(cls, detectors, weights) -> "_Layout":
-        # the detector's own set, so cells added to it later still vote;
-        # a weight of 0.0 casts no vote
-        parts = tuple((_cell_getter(d.subspace), d.accepted_cells, float(w))
+        # the set the detector's view holds or will adopt, so cells added to
+        # it later still vote; a weight of 0.0 casts no vote
+        parts = tuple((_cell_getter(d.subspace), d._accepted_set(), float(w))
                       for d, w in zip(detectors, weights) if w != 0.0)
         return cls(parts, _width(detectors))
 

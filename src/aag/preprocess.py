@@ -15,9 +15,13 @@ every n-th field from field j. Any other file goes through
 cells as floats in one pass (``float`` ignores the whitespace
 ``str.strip`` removes) and strips cells only where that pass cannot
 decide: a categorical column, or a cell that is not a number as it
-stands. ``load_csv_for`` reads a file to apply a fitted model to, the
-same way, but types each column as its model column instead of by its
-cells.
+stands.
+
+``code_csv`` reads a file to apply a fitted model to, the same way, but
+codes it straight into the model's codes, 2 048 rows at a time: each
+block's fields are split, parsed as their model column's kind and
+coded, then freed, so it never holds all of the file's fields at once.
+``apply_preprocessor`` codes typed columns by the same rules.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -99,44 +103,59 @@ def load_csv(
     distinct: a repeated name raises ParseError, as does a file that is
     not UTF-8 or one ``csv`` refuses (a field past its size limit).
     """
-    names, columns = _read_columns(path, delimiter, header)
+    names, data, fields = _read_rows(path, delimiter, header)
     missing, as_nan = _missing(missing_markers)
     return RawTable([_typed_column(name, cells, missing, as_nan)
-                     for name, cells in zip(names, columns)])
+                     for name, cells in zip(names, _strided(data, fields, len(names)))])
 
 
-def load_csv_for(
+def code_csv(
     model: PreprocessModel,
     path,
     delimiter: str = ",",
     missing_markers=DEFAULT_MISSING,
-) -> RawTable:
-    """Read a CSV file with a header, as ``load_csv`` does, to apply a
-    fitted ``model`` to it: each column takes its model column's kind.
+) -> DiscreteTable:
+    """Read a CSV file with a header, as ``load_csv`` does, straight into
+    a fitted ``model``'s codes: what ``apply_preprocessor`` gives for the
+    file's columns, each read as its model column's kind.
 
-    A numeric column's cells are read as numbers, missing and non-finite
-    ones as NaN; a categorical column's stripped cells are its symbols,
-    missing ones None. So a column's kind never depends on which symbols
-    one file happens to hold. Raises SchemaError when the columns' number
-    or names differ from the model's, or when a cell of a numeric column
-    is neither missing nor a number.
+    A numeric column's cells are read as numbers, and missing and
+    non-finite ones take the training mean; a categorical column's
+    stripped cells are its symbols, and missing ones take the mode. So a
+    column's kind never depends on which symbols one file happens to
+    hold. The names and every row's width are checked first; then the body
+    is coded ``_BLOCK_LINES`` rows at a time, so neither a list of all
+    the file's fields nor a typed column is made. Raises SchemaError when
+    the columns' number or names differ from the model's, or naming the
+    first cell, in column order and then row order, of a numeric column
+    that is neither missing nor a number.
     """
-    names, columns = _read_columns(path, delimiter, True)
+    names, data, fields = _read_rows(path, delimiter, True)
     _check_names(model, names)
     missing, as_nan = _missing(missing_markers)
-    out = []
-    for cm, cells in zip(model.columns, columns):
-        if cm.kind == NUMERIC:
-            values = _numbers(cm.name, cells, missing, as_nan)
-        else:
-            values = _symbols(list(map(str.strip, cells)), missing)
-        out.append(RawColumn(cm.name, cm.kind, values))
-    return RawTable(out)
+    coders = [_number_coder(cm, missing, as_nan) if cm.kind == NUMERIC
+              else _SymbolCoder(cm, missing).codes for cm in model.columns]
+    n_cols = len(coders)
+    # attribute-major, so the table kernel reads each attribute's codes without a copy
+    codes = np.empty((n_cols, len(data)), dtype=np.int64)
+    for start in range(0, len(data), _BLOCK_LINES):
+        flat = fields(data[start:start + _BLOCK_LINES])
+        for j, code in enumerate(coders):
+            column = code(flat[j::n_cols])
+            if column is None:
+                raise _bad_cell(model, data, fields, missing)
+            codes[j, start:start + len(column)] = column
+    return DiscreteTable(codes.T, symbol_names=list(map(_symbol_names, model.columns)))
 
 
-def _read_columns(path, delimiter: str, header: bool):
-    """The file's column names and each column's raw cells, one list per
-    column as a generator; ParseError for a file no table can come from."""
+def _read_rows(path, delimiter: str, header: bool):
+    """The file's column names, its data rows, and the function that
+    splits a list of rows into one list of their fields; ParseError for a
+    file no table can come from.
+
+    The rows are the file's plain lines (``_plain_lines``) or else the
+    rows ``csv.reader`` reads; each row has one field per name.
+    """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -149,7 +168,9 @@ def _read_columns(path, delimiter: str, header: bool):
         names = _names(path, rows[0] if rows else None, header)
         data = rows[1:] if header else rows
         _check_widths(path, map(len, data), len(names), header)
-        columns = zip(*data)
+
+        def fields(rows: list[list[str]]) -> list[str]:
+            return list(chain.from_iterable(rows))
     else:
         names = _names(path, _fields(lines[0], delimiter) if lines else None, header)
         data = lines[1:] if header else lines
@@ -158,10 +179,12 @@ def _read_columns(path, delimiter: str, header: bool):
         if set(map(str.count, data, repeat(delimiter))) - {n_cols - 1} or "" in data:
             # some line has not n_cols fields; an empty one has none
             _check_widths(path, (len(_fields(line, delimiter)) for line in data), n_cols, header)
-        columns = _strided(data, delimiter, n_cols)  # it frees the lines as it splits them
+
+        def fields(lines: list[str]) -> list[str]:
+            return delimiter.join(lines).split(delimiter)
     if not data:
         raise ParseError(f"{path}: no data rows")
-    return names, columns
+    return names, data, fields
 
 
 def _missing(missing_markers) -> tuple[set, dict | None]:
@@ -232,18 +255,19 @@ def _check_widths(path, widths, n_cols: int, header: bool) -> None:
             raise ParseError(f"{path}: row {line} has {width} fields, expected {n_cols}")
 
 
-# lines joined and split per step, then freed, so no copy of the whole body is made
+# rows split per step: load_csv makes no copy of the whole body beside its
+# fields, and code_csv never holds more than one step's fields
 _BLOCK_LINES = 2048
 
 
-def _strided(lines: list[str], delimiter: str, n_cols: int):
-    """Each column's cells of plain lines of ``n_cols`` fields, emptying
-    ``lines``: the fields of all lines in one list, column j every
+def _strided(data: list, fields, n_cols: int):
+    """Each column's cells of rows of ``n_cols`` fields, emptying ``data``
+    as it splits it: the fields of all rows in one list, column j every
     ``n_cols``-th field from field j."""
     flat = []
-    while lines:
-        flat += delimiter.join(lines[:_BLOCK_LINES]).split(delimiter)
-        del lines[:_BLOCK_LINES]
+    while data:
+        flat += fields(data[:_BLOCK_LINES])
+        del data[:_BLOCK_LINES]
     for j in range(n_cols):
         yield flat[j::n_cols]
 
@@ -273,20 +297,57 @@ def _typed_column(name: str, cells: list[str], missing: set, as_nan: dict | None
     return RawColumn(name, NUMERIC, values)
 
 
-def _numbers(name: str, cells: list[str], missing: set, as_nan: dict | None) -> np.ndarray:
-    """A numeric column's raw cells as floats, NaN where missing or
-    non-finite; SchemaError naming the first cell that is not a number."""
-    values = _parsed(cells, as_nan)
-    if values is None:
-        cells = list(map(str.strip, cells))
-        values = _stripped_numbers(cells, missing)
+def _number_coder(cm: ColumnModel, missing: set, as_nan: dict | None):
+    """The function giving a numeric column's codes of some raw cells, or
+    None when a cell is neither missing nor a number."""
+    edges = np.asarray(cm.edges, dtype=np.float64)
+
+    def code(cells: list[str]) -> np.ndarray | None:
+        values = _parsed(cells, as_nan)
         if values is None:
-            row, cell = next((i, c) for i, c in enumerate(cells)
-                             if c not in missing and not _is_number(c))
-            raise SchemaError(f"column {name!r}: expected numeric values, "
-                              f"got {cell!r} in row {row + 2}")
-    values[~np.isfinite(values)] = math.nan
-    return values
+            values = _stripped_numbers(list(map(str.strip, cells)), missing)
+            if values is None:
+                return None
+        values[~np.isfinite(values)] = math.nan
+        return _bin_codes(cm, edges, values)
+    return code
+
+
+class _SymbolCoder(dict):
+    """A categorical column's code of each raw cell, found when the cell
+    is first seen: stripped, a missing marker read as None, then looked up
+    as ``apply_preprocessor`` looks up a symbol."""
+
+    def __init__(self, cm: ColumnModel, missing: set):
+        super().__init__()
+        self.lookup, self.unknown = _symbol_lookup(cm)
+        self.missing = missing
+
+    def __missing__(self, cell: str) -> int:
+        symbol = cell.strip()
+        code = self[cell] = self.lookup.get(None if symbol in self.missing else symbol,
+                                            self.unknown)
+        return code
+
+    def codes(self, cells: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, cells), np.int64, len(cells))
+
+
+def _bad_cell(model: PreprocessModel, data: list, fields, missing: set) -> SchemaError:
+    """The error naming the first cell, in model-column order and then row
+    order, of a numeric column that is neither missing nor a number."""
+    n_cols = len(model.columns)
+    first = {j: None for j, cm in enumerate(model.columns) if cm.kind == NUMERIC}
+    for start in range(0, len(data), _BLOCK_LINES):
+        flat = fields(data[start:start + _BLOCK_LINES])
+        for j, found in first.items():
+            if found is None:
+                cells = map(str.strip, flat[j::n_cols])
+                first[j] = next(((start + i, c) for i, c in enumerate(cells)
+                                 if c not in missing and not _is_number(c)), None)
+    j, (row, cell) = next((j, found) for j, found in first.items() if found is not None)
+    return SchemaError(f"column {model.columns[j].name!r}: expected numeric values, "
+                       f"got {cell!r} in row {row + 2}")
 
 
 def _parsed(cells: list[str], as_nan: dict | None) -> np.ndarray | None:
@@ -473,25 +534,40 @@ def apply_preprocessor(model: PreprocessModel, data: RawTable) -> DiscreteTable:
     the last bin. Categorical symbols unseen at fit time map to the
     reserved unknown code (the slot past the training dictionary) rather
     than being laundered into the mode. Each column must be of its model
-    column's kind; ``load_csv_for`` reads a file that way.
+    column's kind; ``code_csv`` codes a file that way without a
+    ``RawTable``.
     """
     _check_names(model, data.names)
     for cm, col in zip(model.columns, data.columns):
         if cm.kind != col.kind:
             raise SchemaError(f"column {col.name!r}: expected {cm.kind} values, got {col.kind}")
     coded = np.empty((data.n_rows, data.n_attrs), dtype=np.int64)
-    names = []
     for j, (cm, col) in enumerate(zip(model.columns, data.columns)):
         if cm.kind == NUMERIC:
-            values = col.values.copy()
-            values[np.isnan(values)] = cm.mean
-            coded[:, j] = np.searchsorted(np.asarray(cm.edges), values, side="left")
-            names.append([f"bin{k}" for k in range(cm.arity)])
+            coded[:, j] = _bin_codes(cm, np.asarray(cm.edges, dtype=np.float64), col.values.copy())
         else:
-            lookup = {s: i for i, s in enumerate(cm.symbols)}
-            lookup[None] = lookup[cm.mode]  # a missing cell takes the mode
-            unknown = len(cm.symbols)
+            lookup, unknown = _symbol_lookup(cm)
             coded[:, j] = np.fromiter(map(lookup.get, col.values, repeat(unknown)), np.int64,
                                       data.n_rows)
-            names.append(list(cm.symbols) + ["<unknown>"])
-    return DiscreteTable(coded, symbol_names=names)
+    return DiscreteTable(coded, symbol_names=list(map(_symbol_names, model.columns)))
+
+
+def _bin_codes(cm: ColumnModel, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A numeric column's codes: each NaN of ``values`` is replaced by the
+    training mean, then value <= ``edges[k]`` selects bin k."""
+    values[np.isnan(values)] = cm.mean
+    return np.searchsorted(edges, values, side="left")
+
+
+def _symbol_lookup(cm: ColumnModel) -> tuple[dict, int]:
+    """A categorical column's code of each symbol, None (a missing cell)
+    taking the mode's, and the code of any other symbol."""
+    lookup = {s: i for i, s in enumerate(cm.symbols)}
+    lookup[None] = lookup[cm.mode]
+    return lookup, len(cm.symbols)
+
+
+def _symbol_names(cm: ColumnModel) -> list[str]:
+    if cm.kind == NUMERIC:
+        return [f"bin{k}" for k in range(cm.arity)]
+    return list(cm.symbols) + ["<unknown>"]

@@ -188,7 +188,8 @@ def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True, 
     width or no data row raises ValueError with ``load_csv``'s message.
 
     ``kinds``, one per column, types the columns instead: a numeric column
-    with a present cell that is not a number raises ValueError naming it.
+    with a present cell that is not a number raises ValueError naming the
+    first such cell of the first such column, as ``code_csv`` does.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
@@ -220,7 +221,10 @@ def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True, 
         present = [c for c in cells if c not in missing]
         numbers = all(is_number(c) for c in present)
         if kinds is not None and kinds[j] == "numeric" and not numbers:
-            raise ValueError(f"column {names[j]!r} holds a cell that is not a number")
+            i, cell = next((i, c) for i, c in enumerate(cells)
+                           if c not in missing and not is_number(c))
+            raise ValueError(f"column {names[j]!r}: expected numeric values, "
+                             f"got {cell!r} in row {i + 2}")
         if (present and numbers) if kinds is None else kinds[j] == "numeric":
             values = np.array([math.nan if c in missing else float(c) for c in cells])
             values[~np.isfinite(values)] = math.nan

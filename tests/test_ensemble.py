@@ -808,6 +808,41 @@ class TestArrayBackedDetectors:
         # every cell is accepted now, still a ranked prefix
         assert json.loads(model.to_json())["detectors"][1]["accepted"] == 6
 
+    @settings(max_examples=30)
+    @given(vote_cases())
+    def test_one_row_calls_leave_the_arrays_holding_the_model(self, case):
+        fit, subspaces, alpha, score = case
+        text = fit_ensemble(fit, subspaces, alpha=alpha, seed=4).to_json()
+        model, fresh, viewed = (EnsembleModel.from_json(text) for _ in range(3))
+        want = [oracles.score_of(viewed.detectors, viewed.weights, row) for row in score.codes]
+        assert [classify(model, row)[0] for row in score.codes] == want
+        assert [detector_predict(d, score.codes[0]) for d in model.detectors] == [
+            oracles.vote_of(d, score.codes[0]) for d in viewed.detectors]
+        assert all(d._ranked is not None for d in model.detectors + fresh.detectors)
+        assert (classify_table(model, score)[0].tobytes()
+                == classify_table(fresh, score)[0].tobytes())
+        assert model.to_json() == text
+
+    def test_a_cell_added_after_a_one_row_call_votes_in_both_kernels_and_is_written(self):
+        model = pinned_model()
+        table = table_from_rows([[2, 2], [0, 1]])
+        assert classify(model, (2, 2)) == (0.5, "anomaly")
+        d = model.detectors[1]
+        assert d._ranked is not None
+        d.accepted_cells.add((2, 2))  # the view adopts the set the row kernel already holds
+        assert d._ranked is None
+        assert classify(model, (2, 2)) == (1.0, "normal")
+        assert classify_table(model, table)[0].tolist() == [1.0, 1.0]
+        assert json.loads(model.to_json())["detectors"][1]["accepted"] == 6
+
+    def test_an_empty_accepted_set_is_adopted_as_it_is(self):
+        ranked = ensemble._Ranked(np.array([[0], [1]]), np.array([1, 1]), n_accepted=0)
+        d = SubspaceDetector._of_ranked((0,), 0.5, ranked)
+        model = EnsembleModel([d], np.array([1.0]), rho=1.0, alpha=0.5)
+        assert classify(model, (0,)) == (0.0, "anomaly")
+        d.accepted_cells.add((0,))
+        assert classify(model, (0,)) == (1.0, "normal")
+
     def test_assigning_a_field_hands_the_detector_to_its_views(self):
         model = pinned_model()
         d = model.detectors[1]

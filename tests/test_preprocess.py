@@ -1,8 +1,8 @@
 import csv
 import io
-import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from aag import preprocess
 from aag.errors import ParseError, SchemaError, UnusableColumnError
 from aag.preprocess import (
     CATEGORICAL,
@@ -20,9 +21,9 @@ from aag.preprocess import (
     RawTable,
     _plain_lines,
     apply_preprocessor,
+    code_csv,
     fit_preprocessor,
     load_csv,
-    load_csv_for,
 )
 
 
@@ -249,44 +250,6 @@ class TestOnePassTyping:
         assert raw.names == names
         assert_columns_equal(raw, want)
 
-    @settings(max_examples=200)
-    @given(csv_files(), st.data())
-    def test_files_read_for_a_model_take_its_column_kinds(self, case, data):
-        text, delimiter, markers, _ = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "data.csv"
-            path.write_bytes(text.encode("utf-8"))
-            try:
-                names, _ = oracles.csv_columns_of(path, delimiter, markers)
-            except ValueError as exc:
-                with pytest.raises(ParseError) as got:
-                    load_csv(path, delimiter, markers)
-                assert str(got.value) == str(exc)
-                return
-            kinds = data.draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]),
-                                       min_size=len(names), max_size=len(names)))
-            model = PreprocessModel([ColumnModel(n, kind) for n, kind in zip(names, kinds)], 2)
-            try:
-                _, want = oracles.csv_columns_of(path, delimiter, markers, kinds=kinds)
-            except ValueError as exc:
-                name = str(exc).split("'")[1]
-                want = re.escape(f"column '{name}': expected numeric")
-                with pytest.raises(SchemaError, match=want):
-                    load_csv_for(model, path, delimiter, markers)
-                return
-            raw = load_csv_for(model, path, delimiter, markers)
-        assert raw.names == names
-        assert_columns_equal(raw, want)
-
-    def test_file_read_for_a_model_needs_its_column_names(self, tmp_path):
-        model = PreprocessModel([ColumnModel("x", NUMERIC), ColumnModel("c", CATEGORICAL)], 2)
-        with pytest.raises(SchemaError, match="expected 2 columns, got 1"):
-            load_csv_for(model, write(tmp_path, "x\n1\n"))
-        with pytest.raises(SchemaError, match="expected 'c', got 'y'"):
-            load_csv_for(model, write(tmp_path, "x,y\n1,2\n"))
-        with pytest.raises(SchemaError, match="'x': expected numeric values, got 'a' in row 3"):
-            load_csv_for(model, write(tmp_path, "x,c\n1,2\n a ,3\n"))
-
     def test_all_missing_column_stays_categorical(self, tmp_path):
         raw = load_csv(write(tmp_path, "x,y\n?,1\n,2\n"))
         assert raw.column("x").kind == CATEGORICAL
@@ -296,6 +259,149 @@ class TestOnePassTyping:
         raw = load_csv(write(tmp_path, "x\n1_000\n-0\n0x1\n?\n"))
         assert raw.column("x").kind == CATEGORICAL
         assert raw.column("x").values.tolist() == ["1_000", "-0", "0x1", None]
+
+
+def reference_codes(model, path, delimiter=",", markers=("", "?")):
+    """``apply_preprocessor`` over the reference reading of the file, each
+    column typed as its model column."""
+    kinds = [cm.kind for cm in model.columns]
+    names, columns = oracles.csv_columns_of(path, delimiter, markers, kinds=kinds)
+    return apply_preprocessor(model, RawTable([RawColumn(name, kind, values)
+                                               for name, (kind, values) in zip(names, columns)]))
+
+
+def assert_tables_equal(got, want):
+    assert got.codes.dtype == np.int64
+    assert got.codes.tolist() == want.codes.tolist()
+    assert got.symbol_names == want.symbol_names
+
+
+@st.composite
+def column_models(draw, names, columns, kinds):
+    """A model of the given kinds whose statistics fall among the file's cells."""
+    models = []
+    for name, (_, values), kind in zip(names, columns, kinds):
+        if kind == NUMERIC:
+            number = st.floats(-20, 20) | st.sampled_from([0.0, -0.0, 1.5, 2.0, 1e300])
+            edges = sorted(set(draw(st.lists(number, max_size=4))))
+            models.append(ColumnModel(name, NUMERIC, mean=draw(number), edges=edges))
+        else:
+            seen = sorted({v for v in values if v is not None} | {"zz"})
+            symbols = draw(st.lists(st.sampled_from(seen), min_size=1, max_size=6, unique=True))
+            models.append(ColumnModel(name, CATEGORICAL, mode=draw(st.sampled_from(symbols)),
+                                      symbols=symbols))
+    return PreprocessModel(models, 2)
+
+
+class TestCodeCsv:
+    @settings(max_examples=300)
+    @given(csv_files(), st.sampled_from([1, 2, 3, 7, 2048]), st.data())
+    def test_files_coded_for_a_model_take_its_column_kinds(self, case, block, data):
+        text, delimiter, markers, _ = case
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(preprocess, "_BLOCK_LINES", block):
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                names, _ = oracles.csv_columns_of(path, delimiter, markers)
+            except ValueError as exc:
+                model = PreprocessModel([ColumnModel("c0", NUMERIC, mean=0.0, edges=[])], 2)
+                with pytest.raises(ParseError) as got:
+                    code_csv(model, path, delimiter, markers)
+                assert str(got.value) == str(exc)
+                return
+            kinds = data.draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]),
+                                       min_size=len(names), max_size=len(names)))
+            # categorical symbols are drawn among the stripped cells the file holds
+            _, texts = oracles.csv_columns_of(path, delimiter, markers,
+                                              kinds=[CATEGORICAL] * len(names))
+            model = data.draw(column_models(names, texts, kinds))
+            try:
+                want = reference_codes(model, path, delimiter, markers)
+            except ValueError as exc:
+                with pytest.raises(SchemaError) as got:
+                    code_csv(model, path, delimiter, markers)
+                assert str(got.value) == str(exc)
+                return
+            got = code_csv(model, path, delimiter, markers)
+        assert_tables_equal(got, want)
+
+    def test_file_coded_for_a_model_needs_its_column_names(self, tmp_path):
+        model = PreprocessModel([ColumnModel("x", NUMERIC, mean=0.0, edges=[]),
+                                 ColumnModel("c", CATEGORICAL, mode="2", symbols=["2"])], 2)
+        with pytest.raises(SchemaError, match="expected 2 columns, got 1"):
+            code_csv(model, write(tmp_path, "x\n1\n"))
+        with pytest.raises(SchemaError, match="expected 'c', got 'y'"):
+            code_csv(model, write(tmp_path, "x,y\n1,2\n"))
+        with pytest.raises(SchemaError, match="'x': expected numeric values, got 'a' in row 3"):
+            code_csv(model, write(tmp_path, "x,c\n1,2\n a ,3\n"))
+
+    MODEL = PreprocessModel([
+        ColumnModel("x", NUMERIC, mean=0.5, edges=[-1.0, 0.0, 1.0]),
+        ColumnModel("c", CATEGORICAL, mode="b", symbols=["a", "b", "c"]),
+        ColumnModel("y", NUMERIC, mean=-3.0, edges=[-2.0, 2.0]),
+    ], 4)
+
+    @staticmethod
+    def lines(n_rows, seed=50):
+        """``n_rows`` rows of x, c, y cells with markers, padding, non-finite
+        numbers and unseen symbols, as lists of fields."""
+        rng = np.random.default_rng(seed)
+        numbers = ["1.5", " -0.25 ", "?", "", "inf", "-1e999", " ? ", "0", "-2", "3.75"]
+        symbols = ["a", " b", "c ", "?", "", "d", " ? ", "b"]
+        return [[rng.choice(numbers), rng.choice(symbols), rng.choice(numbers)]
+                for _ in range(n_rows)]
+
+    @pytest.mark.parametrize("n_rows", [2047, 2048, 2049, 4097, 5000])
+    def test_files_past_one_block_code_as_the_reference(self, tmp_path, n_rows):
+        rows = self.lines(n_rows)
+        path = write(tmp_path, "x,c,y\n" + "".join(",".join(r) + "\n" for r in rows))
+        got = code_csv(self.MODEL, path)
+        assert got.n_rows == n_rows
+        assert_tables_equal(got, reference_codes(self.MODEL, path))
+
+    @pytest.mark.parametrize("terminator, quoting", [("\r\n", csv.QUOTE_MINIMAL),
+                                                      ("\n", csv.QUOTE_ALL)])
+    def test_csv_reader_files_past_one_block_code_as_the_reference(self, tmp_path, terminator,
+                                                                   quoting):
+        rows = self.lines(4500, seed=51)
+        rows[3000][1] = "a,b"  # a delimiter inside a quoted symbol
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=terminator, quoting=quoting)
+        writer.writerow(["x", "c", "y"])
+        writer.writerows(rows)
+        path = write(tmp_path, buffer.getvalue())
+        assert _plain_lines(path.read_bytes().decode("utf-8"), ",") is None
+        got = code_csv(self.MODEL, path)
+        assert got.codes[3000, 1] == 3  # unknown
+        assert_tables_equal(got, reference_codes(self.MODEL, path))
+
+    def test_bad_cells_in_two_blocks_are_named_in_column_order(self, tmp_path):
+        rows = self.lines(5000, seed=52)
+        rows[4500][0] = " oops "  # x, third block
+        rows[100][2] = "nope"  # y, first block
+        rows[2100][2] = "later"
+        path = write(tmp_path, "x,c,y\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(SchemaError) as got:
+            code_csv(self.MODEL, path)
+        assert str(got.value) == "column 'x': expected numeric values, got 'oops' in row 4502"
+        with pytest.raises(ValueError) as want:
+            reference_codes(self.MODEL, path)
+        assert str(got.value) == str(want.value)
+
+    def test_a_ragged_row_in_the_last_block_comes_before_a_bad_cell(self, tmp_path):
+        rows = self.lines(5000, seed=53)
+        rows[10][0] = "oops"
+        lines = [",".join(r) for r in rows]
+        lines[4999] = lines[4999].rpartition(",")[0]
+        path = write(tmp_path, "x,c,y\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"data\.csv: row 5001 has 2 fields, expected 3"):
+            code_csv(self.MODEL, path)
+
+    def test_a_repeated_symbol_keeps_its_code_whatever_its_padding(self, tmp_path):
+        model = PreprocessModel([ColumnModel("c", CATEGORICAL, mode="b", symbols=["a", "b"])], 2)
+        path = write(tmp_path, "c\n a\na\n a\n?\n ?\nz\n z\n")
+        assert code_csv(model, path).codes[:, 0].tolist() == [0, 0, 0, 1, 1, 2, 2]
 
 
 class TestFitPreprocessor:
@@ -374,10 +480,9 @@ class TestApplyPreprocessor:
         model = fit_preprocessor(numeric_table([0.0, 0.0, 10.0, 10.0, 10.0]), bins=2)
         with pytest.raises(SchemaError, match="'x': expected numeric values, got categorical"):
             apply_preprocessor(model, load_csv(path))
-        # load_csv_for reads each column as its model column's kind
-        raw = load_csv_for(model, path)
-        assert raw.columns[0].kind == NUMERIC
-        coded = apply_preprocessor(model, raw)
+        # code_csv reads each column as its model column's kind
+        coded = code_csv(model, path)
+        assert coded.symbol_names == [["bin0", "bin1"]]
         # both rows get the training mean 6.0, the upper bin
         assert coded.codes[:, 0].tolist() == [1, 1]
 

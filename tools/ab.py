@@ -120,8 +120,9 @@ def prepare(aag, inputs, out: Path, k: int, n_tables: int, seed: int) -> SimpleN
         raise RuntimeError(f"{out}: the library phases do not rebuild aag train's model.json")
     t.model = aag.EnsembleModel.from_json(t.text)  # one-row classify and the meaning check
     # to_json and classify_table get a model as aag score reads it: reading a
-    # detector's cell_mass or accepted_cells, as one-row calls do, changes
-    # which path they take
+    # detector's cell_mass or accepted_cells, as the meaning check does,
+    # changes which path they take, and so do one-row calls in versions
+    # whose row kernel reads accepted_cells
     t.read = aag.EnsembleModel.from_json(t.text)
     rng = np.random.default_rng([seed, 1, k])  # perfbench's classify sample
     take = SAMPLE // n_tables + (k < SAMPLE % n_tables)
@@ -147,6 +148,13 @@ def phases(t: SimpleNamespace) -> dict:
         aag.apply_preprocessor(pp, t.raw_train)
         aag.apply_preprocessor(pp, t.raw_score)
 
+    if hasattr(aag.preprocess, "code_csv"):
+        def read_score():
+            aag.preprocess.code_csv(t.pp, t.score_csv)
+    else:  # versions that type the whole file, then code it
+        def read_score():
+            aag.apply_preprocessor(t.pp, aag.preprocess.load_csv_for(t.pp, t.score_csv))
+
     def classify():
         model, call, fastest = t.model, aag.classify, t.fastest
         for i, row in enumerate(t.sample):
@@ -161,6 +169,7 @@ def phases(t: SimpleNamespace) -> dict:
         "load_score": lambda: aag.load_csv(t.score_csv),
         "preprocess": preprocess,
         "apply_score": lambda: aag.apply_preprocessor(t.pp, t.raw_score),
+        "read_score": read_score,  # what aag score does to read and code its file
         "run_aag": lambda: aag.run_aag(t.fit_rows),
         "fit_ensemble": lambda: aag.fit_ensemble(t.coded, t.subspaces, preprocess=t.pp),
         "to_json": t.read.to_json,
