@@ -24,20 +24,31 @@ attribute sets. The interaction information it adds is signed, so m and
 nm can be negative, and exact values are not monotone under inclusion;
 see ``multi_attribute_measure``.
 
-Every joint entropy comes from one kernel, ``_joint_entropy``. It counts
-the blocks of a joint partition with one ``np.bincount`` over the
+Every joint entropy is counted with one ``np.bincount`` over the
 attribute set's key from ``table._joint_key``: the mixed-radix number
 ((c0*r1 + c1)*r2 + c2)... of the codes, renumbered densely by
 ``np.unique`` whenever its key space passes 4 keys per row. The key sorts
 as the code tuples do, so the nonzero counts come in lexicographic tuple
 order for every set, however often it was renumbered, and log2(k) is read
-from a table of ``np.log2`` values. ``induce_partition`` and detector
-fitting count the same key. A partition with one block has entropy
-exactly 0.0; the formula alone would round it to -4.4e-16 for some N.
+from a table of ``np.log2`` values. Two kernels count it. The entropy
+memo that ``PairCache`` and the measure functions read (``_Entropies``)
+fills the sets of at most three attributes a fan at a time: H(p + (z,))
+for every z > p[-1] of a prefix p, counted by one bincount over the keys
+of the run laid side by side, each set's nonzero counts one slice of the
+compacted counts; a fan holds at most ``_FAN_KEYS`` keys and counts, so
+over long tables it counts fewer sets at a time. Larger sets, the public
+``joint_entropy``, a set whose key space passes the budget and the sets
+of a prefix that was itself renumbered take the per-set kernel,
+``_joint_entropy``. Both give the same bits: each set's counts come in
+the same order, and ``np.dot`` sums a slice as it sums an array of its
+own. ``induce_partition`` and detector fitting count the same key. A
+partition with one block has entropy exactly 0.0; the formula alone
+would round it to -4.4e-16 for some N.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache, partial
 from itertools import combinations
 
@@ -93,10 +104,102 @@ def joint_entropy(table: DiscreteTable, attrs) -> float:
     return _joint_entropy(table.codes.T, table.arities, attrs, _log2_table(table.n_rows))
 
 
+# the most keys and counts one fan's bincount holds, unless it counts a
+# single set; a fan over long rows counts fewer sets at a time, down to one
+_FAN_KEYS = 1 << 20
+# the largest attribute set a fan counts
+_FAN_WIDTH = 3
+
+
+def _fan_runs(arities, first: int, size: int, n_rows: int):
+    """The runs [start, stop) of the attributes z >= ``first`` whose sets
+    with a prefix of key space ``size`` one bincount counts: an attribute
+    whose key space ``size * arity`` passes the budget ends a run and
+    joins none, and a run of more than one set holds at most
+    ``_FAN_KEYS`` keys and counts."""
+    budget = _KEYS_PER_ROW * n_rows
+    start, held = first, 0
+    for z in range(first, len(arities)):
+        cost = n_rows + size * arities[z]
+        if size * arities[z] > budget:
+            if start < z:
+                yield start, z
+            start, held = z + 1, 0
+        elif start < z and held + cost > _FAN_KEYS:
+            yield start, z
+            start, held = z, cost
+        else:
+            held += cost
+    if start < len(arities):
+        yield start, len(arities)
+
+
+def _fan_entropies(columns, key: np.ndarray, size: int, radix: np.ndarray, start: int,
+                   log2_table: np.ndarray) -> list[float]:
+    """H(p + (z,)) for each z of ``start .. start + len(radix) - 1``, from
+    the key ``key`` of the prefix p, never renumbered, its key space
+    ``size`` and the arities ``radix`` of the z, none of whose sets' key
+    spaces passes the budget. Each set's keys are offset by the key
+    spaces before it, all are counted by one bincount, and a set's
+    nonzero counts are one slice of the compacted counts."""
+    ends = np.cumsum(radix * size)
+    keys = np.multiply.outer(radix, key)
+    keys += (ends - radix * size)[:, None]
+    keys += columns[start:start + radix.size]
+    counts = np.bincount(keys.ravel(), minlength=int(ends[-1]))
+    nonzero = np.flatnonzero(counts > 0)  # far cheaper than counts[counts > 0]
+    c = counts.take(nonzero)
+    cf, lg = c.astype(np.float64), log2_table.take(c)
+    n = log2_table.size - 1
+    log2_n = float(log2_table[n])
+    out, s = [], 0
+    for e in nonzero.searchsorted(ends).tolist():
+        # _entropy_from_counts' formula; one block is exactly 0.0
+        out.append(0.0 if e - s <= 1 else log2_n - float(cf[s:e].dot(lg[s:e])) / n)
+        s = e
+    return out
+
+
 def _entropies(table: DiscreteTable):
     """Memoized H of ``table``'s canonical attribute tuples; closes over the table only."""
-    columns, log2_table = np.ascontiguousarray(table.codes.T), _log2_table(table.n_rows)
-    return cache(lambda attrs: _joint_entropy(columns, table.arities, attrs, log2_table))
+    return _Entropies(table).__getitem__
+
+
+class _Entropies(dict):
+    """H of a table's canonical attribute tuples, counted when a set is
+    first asked for. A set of at most ``_FAN_WIDTH`` attributes is counted
+    with its prefix's fan, every set that extends the prefix by a larger
+    attribute; the sets a fan leaves out are counted one by one."""
+
+    def __init__(self, table: DiscreteTable):
+        super().__init__()
+        self.columns = np.ascontiguousarray(table.codes.T)
+        self.arities = table.arities
+        self.log2_table = _log2_table(table.n_rows)
+        self.fanned: set[tuple[int, ...]] = set()
+
+    def __missing__(self, attrs: tuple[int, ...]) -> float:
+        prefix = attrs[:-1]
+        if len(attrs) <= _FAN_WIDTH and prefix not in self.fanned:
+            self.fanned.add(prefix)
+            self._fill_fan(prefix)
+            return self[attrs]
+        h = self[attrs] = _joint_entropy(self.columns, self.arities, attrs, self.log2_table)
+        return h
+
+    def _fill_fan(self, prefix: tuple[int, ...]) -> None:
+        n = self.log2_table.size - 1
+        size = math.prod(self.arities[a] for a in prefix)
+        if size > _KEYS_PER_ROW * n:
+            return  # a renumbered prefix
+        if prefix:
+            key, _ = _joint_key(self.columns, self.arities, prefix, _KEYS_PER_ROW * n)
+        else:
+            key = np.zeros(n, dtype=np.int64)
+        for start, stop in _fan_runs(self.arities, prefix[-1] + 1 if prefix else 0, size, n):
+            radix = np.array(self.arities[start:stop], dtype=np.int64)
+            h = _fan_entropies(self.columns, key, size, radix, start, self.log2_table)
+            self.update(zip([(*prefix, z) for z in range(start, stop)], h))
 
 
 def _union(a, b) -> tuple[int, ...]:

@@ -7,10 +7,11 @@ points placed midway between adjacent distinct training values; repeated
 values never straddle an edge, so a value always maps to one code.
 
 ``load_csv`` reads the text once and gives the cells ``csv.reader``
-gives. A file with no quote, ``\\r`` or NUL and no line past
-``csv.field_size_limit()`` is split at newlines, and its body's lines,
-a block at a time, at the delimiter into one list of fields; column j is
-every n-th field from field j. Any other file goes through
+gives. A file with no quote or NUL, no ``\\r`` but in a ``\\r\\n`` and
+no line past ``csv.field_size_limit()`` is split at newlines (each
+``\\r\\n`` read as ``\\n``), and its body's lines, a block at a time, at
+the delimiter into one list of fields; column j is every n-th field
+from field j. Any other file goes through
 ``csv.reader``. Both feed one typing step, which parses a column's raw
 cells as floats in one pass (``float`` ignores the whitespace
 ``str.strip`` removes) and strips cells only where that pass cannot
@@ -195,7 +196,8 @@ def _missing(missing_markers) -> tuple[set, dict | None]:
     return missing, None if any(map(_is_number, missing)) else dict.fromkeys(missing, "nan")
 
 
-# a file holding one of these goes through csv.reader
+# a file holding one of these goes through csv.reader; a "\r" may be
+# the first half of a "\r\n"
 _READER_ONLY = '"\r\0'
 
 
@@ -203,15 +205,20 @@ def _plain_lines(text: str, delimiter: str) -> list[str] | None:
     """The file's lines, when splitting each at the delimiter reads it as
     ``csv.reader`` does; else None.
 
-    That holds when neither the text nor the delimiter holds a quote,
-    ``\\r`` or NUL, the delimiter is not ``\\n``, and no line is longer
-    than ``csv.field_size_limit()``. Without ``\\r`` the file's lines are
-    the text split at ``\\n``, the empty piece after a final newline
-    dropped; without a quote no field is quoted; and csv refuses NUL on
-    some Python versions.
+    That holds when neither the text nor the delimiter holds a quote or
+    NUL, every ``\\r`` of the text ends a line as part of a ``\\r\\n``,
+    the delimiter is neither ``\\r`` nor ``\\n``, and no line is longer
+    than ``csv.field_size_limit()``. Then the file's lines are the text
+    split at ``\\n`` once each ``\\r\\n`` is read as ``\\n``, the empty
+    piece after a final newline dropped; without a quote no field is
+    quoted; and csv refuses NUL on some Python versions.
     """
-    if delimiter in _READER_ONLY + "\n" or any(c in text for c in _READER_ONLY):
+    if delimiter in _READER_ONLY + "\n" or '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None  # a bare \r ends a line for csv.reader
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

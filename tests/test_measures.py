@@ -1,6 +1,6 @@
 import math
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 from unittest import mock
 
@@ -589,3 +589,131 @@ class TestCountingKernel:
         assert h == pytest.approx(oracles.entropy_of(t, attrs), abs=1e-9)
         assert PairCache().total_correlation(t, attrs) == pytest.approx(
             max(0.0, oracles.total_correlation_of(t, attrs)), abs=1e-9)
+
+
+@st.composite
+def fan_tables(draw):
+    """30 to 400 rows (the rounding row counts among them drawn often) and
+    6 to 14 columns of arity 1 to 12: fans of many sets, and sets of 32 or
+    more counts, which ``np.dot`` sums in its vector body. Sometimes a
+    column in the middle passes the 4 N budget alone, so every set holding
+    it is counted one by one and it splits each fan that reaches it, and
+    sometimes a column is constant."""
+    n_rows = draw(st.sampled_from([n for n in ROUNDING_N if n >= 30]) | st.integers(30, 400))
+    n_attrs = draw(st.integers(6, 14))
+    arities = draw(st.lists(st.integers(1, 12), min_size=n_attrs, max_size=n_attrs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, arities, size=(n_rows, n_attrs))
+    if draw(st.booleans()):
+        wide = draw(st.integers(1, n_attrs - 2))
+        codes[:, wide] = rng.integers(0, 5 * n_rows, size=n_rows)
+        codes[0, wide] = 4 * n_rows  # arity 4 N + 1
+    if draw(st.booleans()):
+        codes[:, draw(st.integers(0, n_attrs - 1))] = 0
+    return DiscreteTable(codes)
+
+
+def sets_upto(n_attrs, width):
+    return [s for k in range(1, width + 1) for s in combinations(range(n_attrs), k)]
+
+
+@contextmanager
+def per_set_counts():
+    """The attribute sets the per-set kernel counts inside the block."""
+    calls = []
+
+    def spy(columns, arities, attrs, log2_table, _original=measures._joint_entropy):
+        calls.append(attrs)
+        return _original(columns, arities, attrs, log2_table)
+    with mock.patch.object(measures, "_joint_entropy", spy):
+        yield calls
+
+
+@contextmanager
+def bincounts():
+    """(keys, minlength) of every np.bincount call inside the block."""
+    calls = []
+
+    def spy(keys, minlength=0, _original=np.bincount):
+        calls.append((keys.size, minlength))
+        return _original(keys, minlength=minlength)
+    with mock.patch.object(measures.np, "bincount", spy):
+        yield calls
+
+
+def key_space(table, attrs):
+    return math.prod(table.arities[a] for a in attrs)
+
+
+class TestEntropyFans:
+    @settings(max_examples=30)
+    @given(fan_tables(), st.randoms(use_true_random=False))
+    def test_fans_match_sort_path_in_any_order(self, table, random):
+        sets = sets_upto(table.n_attrs, 3)
+        random.shuffle(sets)
+        h = measures._entropies(table)
+        with per_set_counts() as counted_alone:
+            got = [h(s) for s in sets]
+        assert got == [oracles.sort_path_entropy(table, s) for s in sets]
+        # a fan counts every set of its prefix whose key space is within the
+        # budget, so only the sets past it are counted one by one, each once
+        budget = 4 * table.n_rows
+        assert sorted(counted_alone) == sorted(s for s in sets if key_space(table, s) > budget)
+
+    @settings(max_examples=20)
+    @given(fan_tables(), st.sampled_from((2, 3)), st.randoms(use_true_random=False))
+    def test_pair_cache_on_fans_matches_sort_path(self, table, cap, random):
+        ref = partial(measures._subset_score, cache(partial(oracles.sort_path_entropy, table)))
+        singles = [(a,) for a in range(table.n_attrs)]
+        pairs = list(combinations(singles, 2))
+        for k in (3, 4, 5):
+            s = tuple(sorted(random.sample(range(table.n_attrs), k)))
+            pairs += [(s[:1], s[1:]), (s[:2], s[1:]), (s[:-1], s[-1:])]
+        random.shuffle(pairs)
+        pair_cache = PairCache()
+        for a, b in pairs:
+            assert pair_cache.measure(table, a, b, cap) == measures._normalized(ref, a, b, cap)
+
+    def test_long_table_fans_stay_within_the_key_bound(self):
+        n_rows = 150_000  # six sets to a bincount
+        rng = np.random.default_rng(21)
+        t = DiscreteTable(rng.integers(0, [2, 3, 5, 7, 4, 6, 1, 3, 2], size=(n_rows, 9)))
+        sets = sets_upto(t.n_attrs, 3)
+        h = measures._entropies(t)
+        with bincounts() as calls:
+            got = [h(s) for s in sets]
+        assert got == [joint_entropy(t, s) for s in sets]
+        assert all(keys + bins <= measures._FAN_KEYS for keys, bins in calls)
+        assert any(keys > n_rows for keys, _ in calls)
+        # more bincounts than fans that count a set: the longest fans split
+        fans = 1 + (t.n_attrs - 1) + math.comb(t.n_attrs - 1, 2)
+        assert len(calls) > fans
+
+    def test_fan_past_the_key_bound_counts_one_set_at_a_time(self):
+        rng = np.random.default_rng(22)
+        t = DiscreteTable(rng.integers(0, [2, 3, 5, 7, 4, 6], size=(3_000, 6)))
+        sets = sets_upto(t.n_attrs, 3)
+        with mock.patch.object(measures, "_FAN_KEYS", 3_000), bincounts() as calls:
+            h = measures._entropies(t)
+            got = [h(s) for s in sets]
+        assert got == [joint_entropy(t, s) for s in sets]
+        assert len(calls) == len(sets)
+        assert all(keys == t.n_rows for keys, _ in calls)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_search_events_match_the_sort_path_search(self, cap):
+        from aag.grouping import run_aag
+        import synth
+
+        columns = synth.grouped_columns(300, [4] * 10, noise=0.35, seed=23)
+        # six equal-frequency bins per column, from its ranks
+        codes = np.column_stack([np.argsort(np.argsort(c)) * 6 // 300 for c in columns])
+        t = DiscreteTable(codes)
+        assert t.n_attrs == 40
+        got = run_aag(t, cap=cap)
+        sort_path = lambda table: cache(partial(oracles.sort_path_entropy, table))  # noqa: E731
+        with mock.patch.object(measures, "_entropies", sort_path):
+            want = run_aag(t, cap=cap)
+        assert got.events == want.events
+        assert [e.measure.hex() for e in got.events] == [e.measure.hex() for e in want.events]
+        assert got.to_json() == want.to_json()

@@ -19,6 +19,7 @@ from aag.preprocess import (
     PreprocessModel,
     RawColumn,
     RawTable,
+    _fields,
     _plain_lines,
     apply_preprocessor,
     code_csv,
@@ -131,13 +132,28 @@ class TestLoadCsv:
         ("a,b\n1,2\n", ",", True),
         ("a\n\n", ",", True),
         ('a,b\n"1",2\n', ",", False),
-        ("a,b\r\n1,2\r\n", ",", False),
+        ("a,b\r\n1,2\r\n", ",", True),
+        ("a,b\r\n1,2\n3,4", ",", True),
+        ("a,b\r1,2\r", ",", False),
+        ("a,b\r\r\n1,2\r\n", ",", False),
+        ('a,b\r\n"1",2\r\n', ",", False),
         ("a,b\n1\x00,2\n", ",", False),
         ("a\tb\n1\t2\n", "\t", True),
         ("a\n1\n", "\n", False),
     ])
     def test_only_plain_text_is_split_without_csv(self, text, delimiter, plain):
         assert (_plain_lines(text, delimiter) is not None) == plain
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(["a", "1", " ", ",", ";", "\n", "\r\n", "\r", '"', "\x00"]),
+                    max_size=40).map("".join), st.sampled_from([",", ";"]))
+    def test_plain_lines_split_as_csv_reader_reads(self, text, delimiter):
+        lines = _plain_lines(text, delimiter)
+        plain = not ('"' in text or "\x00" in text or text.count("\r") != text.count("\r\n"))
+        assert (lines is not None) == plain
+        if plain:
+            rows = list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
+            assert [_fields(line, delimiter) for line in lines] == rows
 
     def test_quoted_fields_keep_embedded_delimiters(self, tmp_path):
         raw = load_csv(write(tmp_path, 'c,x\n"a,b",1\nplain,2\n'))
@@ -173,8 +189,9 @@ def csv_columns(draw):
 def csv_files(draw):
     """The text of a CSV file holding ``csv_columns`` cells, and how to read it.
 
-    Lines end in ``\\n`` or ``\\r\\n``, with or without a final one,
-    behind a byte-order mark or not; the delimiter is ',' or ';'; cells
+    Lines end in ``\\n``, in ``\\r\\n``, in a mix of the two, or in a
+    mix of ``\\r\\n`` and ``\\r``, with or without a final one, behind a
+    byte-order mark or not; the delimiter is ',' or ';'; cells
     are quoted where needed or all of them; some cells are padded with
     whitespace; markers may be padded or read as numbers. Sometimes the
     file has no header, a name repeated once stripped, blank lines or a
@@ -187,9 +204,9 @@ def csv_files(draw):
     markers = draw(st.sampled_from(MARKER_SETS))
     delimiter = draw(st.sampled_from([",", ";"]))
     header = draw(st.booleans())
-    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    endings = draw(st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n"), ("\r\n", "\r")]))
     buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter=delimiter, lineterminator=terminator,
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n",
                         quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL])))
     if header:
         names = [f"c{j}" for j in range(len(columns))]
@@ -197,13 +214,16 @@ def csv_files(draw):
             names[-1] = " c0"
         writer.writerow(names)
     writer.writerows(zip(*columns))
-    lines = buffer.getvalue().split(terminator)[:-1]
+    lines = buffer.getvalue().split("\n")[:-1]
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), "")
     if draw(st.integers(0, 9)) == 0:
         i = draw(st.integers(0, len(lines) - 1))
         lines[i] = lines[i].rpartition(delimiter)[0]
-    text = terminator.join(lines) + (terminator if draw(st.booleans()) else "")
+    ends = [draw(st.sampled_from(endings)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:len(text) - len(ends[-1])]  # no final line end
     return ("\ufeff" if draw(st.booleans()) else "") + text, delimiter, markers, header
 
 

@@ -1,6 +1,7 @@
 """Compare two checkouts of aag in one process: outputs, phase times, collector time.
 
     python3 tools/ab.py --parent ../parent --change . --seed 0 --output BENCH_label.json
+    python3 tools/ab.py --parent ../parent --change . --workload wide-search --output ab.json
 
 Separate processes on a shared machine drift by about 20 %; timing both
 checkouts call by call in one process cancels most of that. The tables
@@ -267,6 +268,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="checkout to compare against")
     parser.add_argument("--change", required=True, type=Path, help="checkout with the change")
     parser.add_argument("--seed", type=int, default=0, help="perfbench table seed")
+    parser.add_argument("--workload", choices=[*workloads.WORKLOADS, "all"], default="all",
+                        help="the one workload to run (default: all)")
     parser.add_argument("--output", required=True, type=Path,
                         help="JSON report to write, e.g. BENCH_<label>.json")
     args = parser.parse_args(argv)
@@ -280,6 +283,8 @@ def main(argv=None) -> int:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name, workload in workloads.WORKLOADS.items():
+                if args.workload not in ("all", name):
+                    continue
                 result = run_workload(aags, workload, args.seed, Path(tmp), clock, report)
                 report["workloads"][name] = result
                 for phase, row in result["phases"].items():
