@@ -196,11 +196,6 @@ def _missing(missing_markers) -> tuple[set, dict | None]:
     return missing, None if any(map(_is_number, missing)) else dict.fromkeys(missing, "nan")
 
 
-# a file holding one of these goes through csv.reader; a "\r" may be
-# the first half of a "\r\n"
-_READER_ONLY = '"\r\0'
-
-
 def _plain_lines(text: str, delimiter: str) -> list[str] | None:
     """The file's lines, when splitting each at the delimiter reads it as
     ``csv.reader`` does; else None.
@@ -213,7 +208,7 @@ def _plain_lines(text: str, delimiter: str) -> list[str] | None:
     piece after a final newline dropped; without a quote no field is
     quoted; and csv refuses NUL on some Python versions.
     """
-    if delimiter in _READER_ONLY + "\n" or '"' in text or "\0" in text:
+    if delimiter in '"\r\0\n' or '"' in text or "\0" in text:
         return None
     if "\r" in text:
         if text.count("\r") != text.count("\r\n"):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from aag import measures
 from aag import table as aag_table
 from aag.ensemble import fit_detector
+from aag.grouping import run_aag
 from aag.measures import (
     PairCache,
     conditional_entropy,
@@ -30,6 +31,7 @@ from aag.table import DiscreteTable, table_from_rows
 
 import oracles
 from conftest import random_table, table_from_columns
+from synth import grouped_columns
 
 # Row counts at which log2(N) - N log2(N) / N, the entropy formula applied
 # to a single block of N rows, rounds to -4.4e-16 instead of 0
@@ -489,8 +491,9 @@ def renumberings():
         yield calls
 
 
-def all_sets(n_attrs):
-    return [s for k in range(1, n_attrs + 1) for s in combinations(range(n_attrs), k)]
+def all_sets(n_attrs, width=None):
+    """Every attribute set of at most ``width`` attributes (default: all)."""
+    return [s for k in range(1, (width or n_attrs) + 1) for s in combinations(range(n_attrs), k)]
 
 
 class TestCountingKernel:
@@ -613,10 +616,6 @@ def fan_tables(draw):
     return DiscreteTable(codes)
 
 
-def sets_upto(n_attrs, width):
-    return [s for k in range(1, width + 1) for s in combinations(range(n_attrs), k)]
-
-
 @contextmanager
 def per_set_counts():
     """The attribute sets the per-set kernel counts inside the block."""
@@ -649,7 +648,7 @@ class TestEntropyFans:
     @settings(max_examples=30)
     @given(fan_tables(), st.randoms(use_true_random=False))
     def test_fans_match_sort_path_in_any_order(self, table, random):
-        sets = sets_upto(table.n_attrs, 3)
+        sets = all_sets(table.n_attrs, 3)
         random.shuffle(sets)
         h = measures._entropies(table)
         with per_set_counts() as counted_alone:
@@ -678,7 +677,7 @@ class TestEntropyFans:
         n_rows = 150_000  # six sets to a bincount
         rng = np.random.default_rng(21)
         t = DiscreteTable(rng.integers(0, [2, 3, 5, 7, 4, 6, 1, 3, 2], size=(n_rows, 9)))
-        sets = sets_upto(t.n_attrs, 3)
+        sets = all_sets(t.n_attrs, 3)
         h = measures._entropies(t)
         with bincounts() as calls:
             got = [h(s) for s in sets]
@@ -692,7 +691,7 @@ class TestEntropyFans:
     def test_fan_past_the_key_bound_counts_one_set_at_a_time(self):
         rng = np.random.default_rng(22)
         t = DiscreteTable(rng.integers(0, [2, 3, 5, 7, 4, 6], size=(3_000, 6)))
-        sets = sets_upto(t.n_attrs, 3)
+        sets = all_sets(t.n_attrs, 3)
         with mock.patch.object(measures, "_FAN_KEYS", 3_000), bincounts() as calls:
             h = measures._entropies(t)
             got = [h(s) for s in sets]
@@ -702,10 +701,7 @@ class TestEntropyFans:
 
     @pytest.mark.parametrize("cap", [2, 3])
     def test_search_events_match_the_sort_path_search(self, cap):
-        from aag.grouping import run_aag
-        import synth
-
-        columns = synth.grouped_columns(300, [4] * 10, noise=0.35, seed=23)
+        columns = grouped_columns(300, [4] * 10, noise=0.35, seed=23)
         # six equal-frequency bins per column, from its ranks
         codes = np.column_stack([np.argsort(np.argsort(c)) * 6 // 300 for c in columns])
         t = DiscreteTable(codes)

@@ -204,7 +204,8 @@ def csv_files(draw):
     markers = draw(st.sampled_from(MARKER_SETS))
     delimiter = draw(st.sampled_from([",", ";"]))
     header = draw(st.booleans())
-    endings = draw(st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n"), ("\r\n", "\r")]))
+    endings = draw(st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n"),
+                                    ("\r\n", "\r")]))
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n",
                         quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL])))
