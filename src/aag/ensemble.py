@@ -40,16 +40,22 @@ a BLAS sum that can differ from the detector-order sum in the last bit.
 Models are immutable once fitted; scoring is reentrant and safe to call
 from multiple threads.
 
-``model.json`` is one line of compact JSON with sorted keys. A detector
-its arrays hold is written in the count layout, the arrays as they are:
-the cells' codes row by row in one flat list, their counts, and the
-length of the accepted prefix. Its masses are read back as ``count /
-sum(counts)``, the division ``fit_detector`` makes, so they are the same
-floats. A detector the dict and set hold is written in the count layout
-when they fit it, and otherwise (built through the API or edited after
-the fit) in the explicit layout, ``[cell, mass]`` pairs and the list of
-accepted cells, which is also how earlier versions wrote every detector;
-both layouts and earlier indented files load.
+``model.json`` is one line of compact JSON with sorted keys: ``to_json``
+writes the document ``to_json_dict`` describes, byte for byte as
+``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` would. A
+detector its arrays hold is written in the count layout, the arrays as
+they are: the cells' codes row by row in one flat list, their counts,
+and the length of the accepted prefix. Its masses are read back as
+``count / sum(counts)``, the division ``fit_detector`` makes, so they are
+the same floats. A detector the dict and set hold is written in the
+count layout when they fit it, and otherwise (built through the API or
+edited after the fit) in the explicit layout, ``[cell, mass]`` pairs and
+the list of accepted cells, which is also how earlier versions wrote
+every detector; both layouts and earlier indented files load. The
+document holds the count layout's flat ``cells`` and ``counts`` as int64
+arrays, which ``to_json`` renders as decimal text in numpy
+(``_decimal``) and ``to_json_dict`` lists; every other value goes through
+``json``.
 """
 
 from __future__ import annotations
@@ -452,24 +458,72 @@ def _count_layout(d: SubspaceDetector) -> dict | None:
     if k > len(keys) or not all(map(d.accepted_cells.__contains__,
                                     map(keys.__getitem__, order[:k].tolist()))):
         return None
-    return {"attrs": list(d.subspace), "cells": codes[order].ravel().tolist(),
-            "counts": counts[order].tolist(), "accepted": k}
+    return {"attrs": _plain_list(d.subspace), "cells": codes[order].ravel(),
+            "counts": counts[order], "accepted": k}
 
 
 def _ranked_layout(d: SubspaceDetector) -> dict:
     """The count layout of a detector its arrays hold: the arrays as they are."""
     cells, counts, k = d._ranked
-    return {"attrs": list(d.subspace), "cells": cells.ravel().tolist(),
-            "counts": counts.tolist(), "accepted": k}
+    return {"attrs": list(d.subspace), "cells": cells.ravel(), "counts": counts, "accepted": k}
+
+
+def _plain(value):
+    """A numpy scalar as the Python int or float it holds, which ``json``
+    writes; any other value as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _plain_list(values) -> list:
+    return list(map(_plain, values))
 
 
 def _explicit_layout(d: SubspaceDetector) -> dict:
     """The detector as ``[cell, mass]`` pairs and its accepted cells, each in tuple order."""
     return {
-        "attrs": list(d.subspace),
-        "cells": [[list(key), mass] for key, mass in sorted(d.cell_mass.items())],
-        "accepted": [list(key) for key in sorted(d.accepted_cells)],
+        "attrs": _plain_list(d.subspace),
+        "cells": [[_plain_list(key), _plain(mass)] for key, mass in sorted(d.cell_mass.items())],
+        "accepted": [_plain_list(key) for key in sorted(d.accepted_cells)],
     }
+
+
+def _decimal(a: np.ndarray) -> str:
+    """Int64 values >= 0 as comma-joined decimal text, ``",".join(map(str,
+    a.tolist()))``: a digit matrix as wide as the largest value, a comma
+    column, and a mask that drops the leading zeros."""
+    if not a.size:
+        return ""
+    width = len(str(int(a.max())))  # 10**width could pass int64; no power used here does
+    text = np.empty((a.size, width + 1), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    text[:, width] = ord(",")
+    for j in range(width):
+        power = 10 ** (width - 1 - j)
+        text[:, j] = a // power % 10 + ord("0")
+        if power > 1:  # a value's last digit is kept, even a lone zero
+            keep[:, j] = a >= power
+    return text[keep][:-1].tobytes().decode("ascii")
+
+
+_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _object(parts: dict) -> str:
+    """A JSON object of string keys and values already written, keys in sorted order."""
+    return "{" + ",".join(f"{_ENCODE(k)}:{v}" for k, v in sorted(parts.items())) + "}"
+
+
+def _render(doc: dict) -> str:
+    """A model document as ``json.dumps(doc, separators=(",", ":"),
+    sort_keys=True)`` writes it once its int64 arrays are lists: the arrays
+    of the detector entries go through ``_decimal``, every other value
+    (``preprocess`` and explicit layouts too) through ``json``."""
+    parts = {k: _ENCODE(v) for k, v in doc.items() if k != "detectors"}
+    parts["detectors"] = "[" + ",".join(
+        _object({k: f"[{_decimal(v)}]" if isinstance(v, np.ndarray) else _ENCODE(v)
+                 for k, v in entry.items()})
+        for entry in doc["detectors"]) + "]"
+    return _object(parts)
 
 
 @dataclass
@@ -488,11 +542,12 @@ class EnsembleModel:
     def score(self, row) -> float:
         return _vote(self._layout, row)
 
-    def to_json_dict(self) -> dict:
-        """The model document; each detector in the count layout when its cells fit it."""
+    def _document(self) -> dict:
+        """The model document, each detector in the count layout when its
+        cells fit it, that layout's ``cells`` and ``counts`` as int64 arrays."""
         doc = {
-            "alpha": self.alpha,
-            "rho": self.rho,
+            "alpha": _plain(self.alpha),
+            "rho": _plain(self.rho),
             "weights": [float(w) for w in self.weights],
             "detectors": [_ranked_layout(d) if d._ranked is not None
                           else _count_layout(d) or _explicit_layout(d) for d in self.detectors],
@@ -501,8 +556,19 @@ class EnsembleModel:
             doc["preprocess"] = self.preprocess.to_json_dict()
         return doc
 
+    def to_json_dict(self) -> dict:
+        """The model document; each detector in the count layout when its cells fit it."""
+        doc = self._document()
+        for entry in doc["detectors"]:
+            if "counts" in entry:
+                entry["cells"], entry["counts"] = entry["cells"].tolist(), entry["counts"].tolist()
+        return doc
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True) + "\n"
+        """``model.json``: ``json.dumps(self.to_json_dict(), separators=(",", ":"),
+        sort_keys=True) + "\\n"``, byte for byte, its count-layout lists
+        written from the arrays."""
+        return _render(self._document()) + "\n"
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnsembleModel":

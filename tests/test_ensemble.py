@@ -22,6 +22,7 @@ from aag.ensemble import (
     split_indices,
 )
 from aag.errors import SchemaError
+from aag.preprocess import PreprocessModel
 from aag.table import DiscreteTable, table_from_rows
 
 from conftest import random_table
@@ -888,3 +889,128 @@ class TestArrayBackedDetectors:
                            for (_, cells, _), d in zip(model._layout.parts, model.detectors))
         finally:
             sys.setswitchinterval(interval)
+
+
+# 0, 9, 10, 99, 100, ..., 10**18 - 1, 10**18 and 2**63 - 1: a value of every decimal width
+DIGIT_EDGES = [0, *(10**k + d for k in range(1, 19) for d in (-1, 0)), 2**63 - 1]
+# how a drawn model's detector is held when it is written
+HOLDS = ("arrays", "views", "built", "numpy", "near-2^53")
+NAMES = ["é", "☃ snow", "\u2028line", 'q"uo\\te', "😀", "\x7f\x00"]
+SYMBOLS = ["ü", "中文", "a\tb", "🎲", "plain"]
+
+
+def preprocess_of(rng, n_attrs: int) -> PreprocessModel:
+    """A preprocessing model whose column names and symbols need escapes."""
+    columns = []
+    for j in range(n_attrs):
+        name = f"{NAMES[j % len(NAMES)]}{j}"
+        if j % 2:
+            columns.append({"name": name, "kind": "numeric", "mean": float(rng.normal()),
+                            "edges": np.sort(rng.normal(size=3)).tolist()})
+        else:
+            symbols = rng.permutation(SYMBOLS).tolist()
+            columns.append({"name": name, "kind": "categorical", "mode": symbols[0],
+                            "symbols": symbols})
+    return PreprocessModel.from_json_dict({"bins": 4, "columns": columns})
+
+
+def near_2_53(rng, d: SubspaceDetector) -> SubspaceDetector:
+    """A detector of ``d``'s cells read from a file whose counts lie just below 2**53."""
+    cells = ranked_cells(d)
+    small = rng.integers(1, 4, size=len(cells) - 1).tolist()
+    counts = [2**53 - int(rng.integers(1, 64)) - sum(small), *small]
+    ranked = sorted(zip(counts, cells), key=lambda pair: (-pair[0], pair[1]))
+    entry = {"attrs": list(d.subspace), "cells": [x for _, cell in ranked for x in cell],
+             "counts": [n for n, _ in ranked], "accepted": int(rng.integers(0, len(cells) + 1))}
+    doc = {"alpha": d.alpha, "rho": 0.5, "weights": [1.0], "detectors": [entry]}
+    return EnsembleModel.from_json_dict(doc).detectors[0]
+
+
+@st.composite
+def written_models(draw):
+    """A fitted model whose detectors are held each way one can be written.
+
+    One column holds a code of every decimal width up to 2**63 - 1, the
+    others a few of them. A detector is left to its arrays, handed to its
+    views by an edit after which it still fits the count layout, rebuilt
+    through the constructor with Python or numpy codes and masses (the
+    explicit layout), or replaced by one read from a file whose counts lie
+    just below 2**53. Half the models carry a preprocessing model of
+    non-ASCII names and symbols.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.array(DIGIT_EDGES, dtype=np.int64)
+    n_attrs, n_rows = int(rng.integers(1, 5)), int(rng.integers(edges.size, 120))
+    codes = np.stack([rng.choice(rng.choice(edges, size=int(rng.integers(1, 5))), size=n_rows)
+                      for _ in range(n_attrs)], axis=1)
+    codes[:edges.size, rng.integers(n_attrs)] = edges
+    subspaces = [tuple(sorted(rng.choice(n_attrs, size=int(rng.integers(1, n_attrs + 1)),
+                                         replace=False).tolist()))
+                 for _ in range(int(rng.integers(1, 5)))]
+    pp = preprocess_of(rng, n_attrs) if draw(st.booleans()) else None
+    model = fit_ensemble(DiscreteTable(codes), subspaces, alpha=draw(st.floats(0.01, 0.5)),
+                         seed=4, preprocess=pp)
+    holds = draw(st.lists(st.sampled_from(HOLDS), min_size=len(subspaces),
+                          max_size=len(subspaces)))
+    for i, (d, hold) in enumerate(zip(model.detectors, holds)):
+        if hold == "views":  # one more ranked cell accepted: still a ranked prefix
+            d.accepted_cells.update(ranked_cells(d)[:len(d.accepted_cells) + 1])
+        elif hold == "built":
+            model.detectors[i] = SubspaceDetector(d.subspace, dict(d.cell_mass),
+                                                  set(d.accepted_cells), d.alpha)
+        elif hold == "numpy":
+            model.detectors[i] = SubspaceDetector(
+                d.subspace, {tuple(np.array(c)): np.float64(m) for c, m in d.cell_mass.items()},
+                {tuple(np.array(c)) for c in d.accepted_cells}, d.alpha)
+        elif hold == "near-2^53":
+            model.detectors[i] = near_2_53(rng, d)
+    return model
+
+
+class NoToList(np.ndarray):
+    def tolist(self):
+        raise AssertionError("a cell array was listed")
+
+
+class TestModelWriter:
+    @settings(max_examples=40)
+    @given(written_models())
+    def test_to_json_writes_the_document_to_json_dict_gives(self, model):
+        for held in (model, EnsembleModel.from_json(model.to_json())):
+            text = held.to_json()
+            assert text == json.dumps(held.to_json_dict(), separators=(",", ":"),
+                                      sort_keys=True) + "\n"
+            assert EnsembleModel.from_json(text).to_json() == text
+
+    def test_decimal_kernel_writes_what_str_writes(self):
+        a = np.array(DIGIT_EDGES, dtype=np.int64)
+        for values in (a, a[::-1], a[5:6]):
+            assert ensemble._decimal(values) == ",".join(map(str, values.tolist()))
+        assert ensemble._decimal(np.array([], dtype=np.int64)) == ""
+
+    def test_writing_an_array_held_model_lists_no_cell_array(self):
+        model = pinned_model()
+        for d in model.detectors:
+            cells, counts, k = d._ranked
+            d.__dict__["_ranked"] = ensemble._Ranked(cells.view(NoToList), counts.view(NoToList), k)
+        assert model.to_json() == PINNED_COUNT
+        assert all(d._ranked is not None for d in model.detectors)
+
+    def test_a_detector_of_numpy_codes_and_masses_writes_reads_back_and_scores_the_same(self):
+        codes = np.array([[0, 1], [1, 0]])
+        dets = [SubspaceDetector((0, 1), {tuple(codes[0]): 2 / 3, tuple(codes[1]): 1 / 3},
+                                 {tuple(codes[0])}, 0.05),
+                SubspaceDetector((1,), {(np.int64(0),): np.float64(0.5), (np.int64(1),): 0.5},
+                                 {(np.int64(1),)}, 0.05)]
+        model = EnsembleModel(dets, np.array([0.5, 0.5]), rho=np.float32(0.5),
+                              alpha=np.float64(0.05))
+        loaded = EnsembleModel.from_json(model.to_json())
+        assert detector_fields(loaded) == detector_fields(model)
+        assert (loaded.rho, loaded.alpha) == (0.5, 0.05)
+        table = table_from_rows([[0, 1], [1, 0], [1, 1], [2, 1]])
+        want = [1.0, 0.0, 0.5, 0.5]
+        assert classify_table(loaded, table)[0].tolist() == want
+        assert classify_table(model, table)[0].tolist() == want
+        assert [classify(loaded, row) for row in table.codes] == [
+            classify(model, row) for row in table.codes]
+        assert loaded.to_json() == model.to_json()

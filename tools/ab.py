@@ -16,7 +16,10 @@ on the sample, and ``model`` if the models the two sides read back from
 their ``model.json`` differ in meaning: a detector's subspace, cell
 masses or accepted cells, the weight bytes, rho, alpha or the
 preprocessing parameters. A change to the file's layout alone lists
-``model.json`` but not ``model``. Then each side builds the phases'
+``model.json`` but not ``model``. Each side also writes its read-back
+model again with its own ``to_json``; the report lists ``model.json
+round trip`` if either side's bytes differ from the ``model.json`` its
+``aag train`` wrote. Then each side builds the phases'
 inputs with its own library (its model must be the bytes its ``aag
 train`` wrote) and ROUNDS rounds run every phase on every table on both
 sides back to back, the side that goes first alternating. The inputs
@@ -248,6 +251,8 @@ def run_workload(aags: dict, workload, seed: int, tmp: Path, clock, report: dict
         p, c = sides.values()
         if [p.aag.classify(p.model, r) for r in p.sample] != [c.aag.classify(c.model, r) for r in c.sample]:
             report["differ"].append(f"{workload.name}/t{k}/classify")
+        if any(t.model.to_json() != t.text for t in (p, c)):
+            report["differ"].append(f"{workload.name}/t{k}/model.json round trip")
         if meaning(p.model) != meaning(c.model):
             report["differ"].append(f"{workload.name}/t{k}/model")
         tables.append(sides)
