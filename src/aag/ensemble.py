@@ -3,8 +3,12 @@
 Each detector accepts exactly the smallest set of training cells whose
 empirical mass reaches 1 - alpha; anything outside, including cells never
 seen in training, is rejected. Detector votes are weighted by validation
-accuracy and the decision threshold is the largest cut that keeps the
-validation false-positive rate within alpha.
+accuracy. The decision threshold is the largest cut that keeps the
+validation false-positive rate within alpha for the BLAS sum
+``weights @ votes`` it is cut from. Scoring adds the weights in detector
+order, which can differ from that sum in the last bit, so validation rows
+scored as ``classify_table`` scores them can exceed the cut; they do on 6
+of the 20 seed-0 benchmark tables.
 
 In memory, a detector that ``fit_detector`` or the model reader builds
 holds the model file's count layout: its cells as an int64 array of
@@ -635,7 +639,11 @@ def fit_ensemble(
     normals it rejects) turns into a weight proportional to 1 - error.
     The threshold rho is the largest value that keeps the fraction of
     validation rows scoring below it within alpha, i.e. the empirical
-    alpha-quantile of validation scores taken from below.
+    alpha-quantile of validation scores taken from below, where a
+    validation score is the BLAS sum ``weights @ votes``. ``classify`` and
+    ``classify_table`` add the weights in detector order instead, so rows
+    scored by them can fall below rho where their BLAS sum did not, and
+    the fraction below can exceed alpha.
     """
     attr_sets = [validate_attrs(train, s) for s in subspaces]
     if not attr_sets:

@@ -4,6 +4,9 @@ Everything here works over explicit contingency tables built with plain
 dictionaries and math.log2, sharing no code path with the package. The
 sort-path entropy is the exception: a chain of np.unique sorts and
 np.log2 of each count, the bit-for-bit reference of the counting kernel.
+So are the ``*_by`` measures: the subset-score formulas and the cap
+fallback written as scalar loops over any entropy function, in the
+package's operation order, the bit-for-bit reference of its score arrays.
 The calibration reference uses numpy only to form the same BLAS sum
 ``weights @ votes`` that calibration is defined by. The CSV reference
 reads rows with csv.reader and types each column in two passes: a parse
@@ -125,6 +128,35 @@ def normalized_measure_of(table, a, b, cap=3):
         value = multi_attribute_of(table, s) / h
         if best is None or value < best:
             best = value
+    return 0.0 if best is None else best
+
+
+def multi_attribute_by(h, attrs):
+    """Exact m of a sorted pair or triple from the entropy function ``h``
+    of sorted attribute tuples, as scalar Python in the library's
+    operation order, so that with the library's entropy bits (e.g.
+    ``sort_path_entropy``) it gives the library's bits."""
+    if len(attrs) == 2:
+        x, y = attrs
+        return max(0.0, 2.0 * h(attrs) - h((x,)) - h((y,)))
+    x, y, z = attrs
+    total = 0.0
+    for rest in ((y, z), (x, z), (x, y)):
+        total += h(attrs) - h(rest)
+    return total + (h((x,)) + h((y,)) + h((z,)) - h((x, y)) - h((x, z)) - h((y, z)) + h(attrs))
+
+
+def normalized_measure_by(h, a, b, cap=3):
+    """The pair measure over the entropy function ``h``, bit for bit: a
+    loop over every cap-sized subset of the union, keeping the least
+    m(S)/H(S) of those that touch both sides and carry information."""
+    union = tuple(sorted(set(a) | set(b)))
+    best = None
+    for s in [union] if len(union) <= cap else combinations(union, cap):
+        if set(s) & set(a) and set(s) & set(b) and h(s) != 0.0:
+            value = multi_attribute_by(h, s) / h(s)
+            if best is None or value < best:
+                best = value
     return 0.0 if best is None else best
 
 

@@ -451,6 +451,103 @@ class TestPairCache:
         assert cache.measure(t, (1,), (0,), 3) == normalized_measure(t, (0,), (1,))
 
 
+@st.composite
+def score_tables(draw):
+    """8 to 60 rows (the rounding row counts drawn often) and 4 to 9
+    columns of arity 1 to 4; up to three columns are made constant, so
+    pairs and triples of them carry no information (H = 0)."""
+    n_rows = draw(st.sampled_from(ROUNDING_N) | st.integers(8, 60))
+    n_attrs = draw(st.integers(4, 9))
+    arities = draw(st.lists(st.integers(1, 4), min_size=n_attrs, max_size=n_attrs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, arities, size=(n_rows, n_attrs))
+    for column in draw(st.lists(st.integers(0, n_attrs - 1), max_size=3)):
+        codes[:, column] = draw(st.integers(0, 2))
+    return DiscreteTable(codes)
+
+
+@st.composite
+def side_pairs(draw, n_attrs, kind):
+    """Two attribute sets whose union is a drawn set of two or more
+    attributes: ``disjoint``, ``overlapping`` (each side has an attribute
+    the other lacks, and they share one) or ``nested`` (a within b)."""
+    low = 3 if kind == "overlapping" else 2
+    union = draw(st.lists(st.integers(0, n_attrs - 1), min_size=low, max_size=n_attrs,
+                          unique=True))
+    if kind == "nested":
+        a = draw(st.lists(st.sampled_from(union), min_size=1, unique=True))
+        b = union
+    else:
+        k = draw(st.integers(1, len(union) - (2 if kind == "overlapping" else 1)))
+        shared = [union[k]] if kind == "overlapping" else []
+        a, b = union[:k] + shared, union[k:]
+    a, b = tuple(sorted(a)), tuple(sorted(b))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def assert_same_measure(table, cache, a, b, cap):
+    """PairCache, the public function and the oracle's loop over the
+    sort-path entropies give the same bits; the contingency oracle agrees."""
+    ref = partial(oracles.sort_path_entropy, table)
+    got = cache.measure(table, a, b, cap)
+    assert type(got) is float
+    assert got.hex() == normalized_measure(table, a, b, cap).hex()
+    assert got.hex() == oracles.normalized_measure_by(ref, a, b, cap).hex()
+    assert got == pytest.approx(oracles.normalized_measure_of(table, a, b, cap), abs=1e-9)
+
+
+class TestScoreArrays:
+    @settings(max_examples=60)
+    @given(score_tables(), st.sampled_from((2, 3)), st.data())
+    def test_gather_matches_public_measure_and_oracles(self, table, cap, data):
+        cache = PairCache()
+        for kind in ("disjoint", "overlapping", "nested"):
+            for a, b in data.draw(st.lists(side_pairs(table.n_attrs, kind), min_size=1,
+                                           max_size=4)):
+                assert_same_measure(table, cache, a, b, cap)
+
+    @settings(max_examples=30)
+    @given(score_tables(), st.sampled_from((2, 3)), st.data())
+    def test_unions_of_cap_and_one_more(self, table, cap, data):
+        cache = PairCache()
+        for size in (cap, cap + 1):
+            union = data.draw(st.lists(st.integers(0, table.n_attrs - 1), min_size=size,
+                                       max_size=size, unique=True))
+            k = data.draw(st.integers(1, size - 1))
+            assert_same_measure(table, cache, tuple(sorted(union[:k])),
+                                tuple(sorted(union[k:])), cap)
+
+    @settings(max_examples=30)
+    @given(score_tables(), st.sampled_from((2, 3)))
+    def test_multi_attribute_measure_is_the_least_subset_measure(self, table, cap):
+        ref = cache(partial(oracles.sort_path_entropy, table))
+        for s in all_sets(table.n_attrs)[table.n_attrs:]:
+            subsets = [s] if len(s) <= cap else combinations(s, cap)
+            want = min(oracles.multi_attribute_by(ref, c) for c in subsets)
+            assert multi_attribute_measure(table, s, cap).hex() == want.hex()
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_every_subset_degenerate_scores_zero(self, cap):
+        # four constant columns and one that varies: every subset of the
+        # constant ones has H = 0, so the fallback reads only +inf
+        t = table_from_columns(*[[0] * 13] * 4, [0, 1, 2] * 4 + [1])
+        for a, b in [((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((0, 1, 2), (1, 2, 3))]:
+            assert PairCache().measure(t, a, b, cap) == 0.0
+            assert_same_measure(t, PairCache(), a, b, cap)
+        # with the varying column a subset carries information, and scores 1
+        assert PairCache().measure(t, (0, 1), (2, 4), cap) == 1.0
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_degenerate_subsets_do_not_win_the_minimum(self, cap):
+        rng = np.random.default_rng(24)
+        t = DiscreteTable(np.column_stack([np.zeros(30, dtype=np.int64)] * 3
+                                          + [rng.integers(0, 3, size=(30, 3))]))
+        for a, b in [((0, 3), (1, 4)), ((0, 1, 3), (2, 4, 5)), ((0, 3, 4), (1, 2))]:
+            value = PairCache().measure(t, a, b, cap)
+            assert value > 0.0
+            assert_same_measure(t, PairCache(), a, b, cap)
+
+
 def contingency_of(table, attrs):
     """Dense contingency table of ``attrs`` from the oracle's dict counts."""
     out = np.zeros([table.arities[a] for a in attrs], dtype=np.int64)
@@ -514,8 +611,8 @@ class TestCountingKernel:
             assert cache.total_correlation(table, s) == measures._total_correlation(ref, s)
             for k in range(1, len(s)):
                 a, b = s[:k], s[k - 1:]
-                assert cache.measure(table, a, b, cap) == measures._normalized(
-                    partial(measures._subset_score, ref), a, b, cap)
+                assert cache.measure(table, a, b, cap) == oracles.normalized_measure_by(
+                    ref, a, b, cap)
 
     @settings(max_examples=40)
     @given(kernel_tables())
@@ -655,14 +752,26 @@ class TestEntropyFans:
             got = [h(s) for s in sets]
         assert got == [oracles.sort_path_entropy(table, s) for s in sets]
         # a fan counts every set of its prefix whose key space is within the
-        # budget, so only the sets past it are counted one by one, each once
+        # budget, so only single attributes and the sets past it are counted
+        # one by one, each once
         budget = 4 * table.n_rows
-        assert sorted(counted_alone) == sorted(s for s in sets if key_space(table, s) > budget)
+        assert sorted(counted_alone) == sorted(
+            s for s in sets if len(s) == 1 or key_space(table, s) > budget)
+
+    @settings(max_examples=30)
+    @given(fan_tables() | kernel_tables())
+    def test_single_attributes_are_counted_alone_as_the_sort_path_counts(self, table):
+        h = measures._entropies(table)
+        with per_set_counts() as counted_alone, bincounts() as calls:
+            got = [h((a,)) for a in range(table.n_attrs)]
+        assert got == [oracles.sort_path_entropy(table, (a,)) for a in range(table.n_attrs)]
+        assert counted_alone == [(a,) for a in range(table.n_attrs)]
+        assert all(keys == table.n_rows for keys, _ in calls)
 
     @settings(max_examples=20)
     @given(fan_tables(), st.sampled_from((2, 3)), st.randoms(use_true_random=False))
     def test_pair_cache_on_fans_matches_sort_path(self, table, cap, random):
-        ref = partial(measures._subset_score, cache(partial(oracles.sort_path_entropy, table)))
+        ref = cache(partial(oracles.sort_path_entropy, table))
         singles = [(a,) for a in range(table.n_attrs)]
         pairs = list(combinations(singles, 2))
         for k in (3, 4, 5):
@@ -671,7 +780,8 @@ class TestEntropyFans:
         random.shuffle(pairs)
         pair_cache = PairCache()
         for a, b in pairs:
-            assert pair_cache.measure(table, a, b, cap) == measures._normalized(ref, a, b, cap)
+            assert pair_cache.measure(table, a, b, cap) == oracles.normalized_measure_by(
+                ref, a, b, cap)
 
     def test_long_table_fans_stay_within_the_key_bound(self):
         n_rows = 150_000  # six sets to a bincount
@@ -700,15 +810,20 @@ class TestEntropyFans:
         assert all(keys == t.n_rows for keys, _ in calls)
 
     @pytest.mark.parametrize("cap", [2, 3])
-    def test_search_events_match_the_sort_path_search(self, cap):
+    def test_search_events_match_the_oracle_scored_search(self, cap):
         columns = grouped_columns(300, [4] * 10, noise=0.35, seed=23)
         # six equal-frequency bins per column, from its ranks
         codes = np.column_stack([np.argsort(np.argsort(c)) * 6 // 300 for c in columns])
         t = DiscreteTable(codes)
         assert t.n_attrs == 40
         got = run_aag(t, cap=cap)
-        sort_path = lambda table: cache(partial(oracles.sort_path_entropy, table))  # noqa: E731
-        with mock.patch.object(measures, "_entropies", sort_path):
+        ref = cache(partial(oracles.sort_path_entropy, t))
+
+        def oracle_measure(self, table, a, b, cap):
+            return oracles.normalized_measure_by(ref, a, b, cap)
+        # the sort path's entropies, and every pair scored by the oracle's loop
+        with mock.patch.object(measures, "_entropies", lambda table: ref), \
+                mock.patch.object(PairCache, "measure", oracle_measure):
             want = run_aag(t, cap=cap)
         assert got.events == want.events
         assert [e.measure.hex() for e in got.events] == [e.measure.hex() for e in want.events]
