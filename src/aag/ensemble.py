@@ -10,18 +10,20 @@ order, which can differ from that sum in the last bit, so validation rows
 scored as ``classify_table`` scores them can exceed the cut; they do on 6
 of the 20 seed-0 benchmark tables.
 
-In memory, a detector that ``fit_detector`` or the model reader builds
-holds the model file's count layout: its cells as an int64 array of
-shape [k, width], ranked by descending training count (ties in tuple
-order), their counts as int64, and the length of the accepted prefix.
-The public ``cell_mass`` dict and ``accepted_cells`` set are views, built
-from the arrays when first read. The rule has one bit: the arrays hold
-the detector until a view is read or a field assigned; after that, and
-for a detector built through the constructor, the dict and the set hold
-it, so cells added to them vote and are written. One-row calls do not
-read the views: they look cells up in a tuple set of the accepted prefix,
-built once and kept beside the arrays, which the ``accepted_cells`` view
-then adopts as it is, so a cell added to the view votes in both kernels.
+A detector is immutable int64 arrays: its cells, of shape [k, width],
+and its accepted cells. When the cells fit the model file's count layout
+(each mass ``count / fit_rows`` for an int count of at least 1, the
+counts summing to ``fit_rows`` below 2^53, and the accepted cells the
+prefix of the cells ranked by descending count, ties in tuple order), it
+holds them in that rank with their int64 counts, and the accepted cells
+are the ranked prefix; otherwise it holds their float64 masses, cells and
+accepted cells each in tuple order. ``fit_detector``, and the model
+reader for a count-layout entry already in that rank, build the counted
+arrays directly; the constructor takes a ``cell_mass`` dict and an
+``accepted_cells`` set and decides once which of the two it holds. The
+public ``cell_mass`` (a read-only mapping) and ``accepted_cells`` (a
+frozenset) are views, built from the arrays when first read and kept;
+neither can be assigned or changed.
 
 Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
@@ -31,7 +33,7 @@ scores the one row of a one-row call (``classify``,
 codes, checks its width and turns it into a list, and each voting
 detector reads its cell from that list with a getter
 (``operator.itemgetter`` over its subspace) and looks it up in its
-accepted tuple set, taken once per model. The table kernel,
+``accepted_cells``, taken once per model. The table kernel,
 ``_column_vote``, serves ``classify_table``: it takes one detector at a
 time, keys its accepted cells and the rows together (``_hits``) and adds
 its weight to every accepting row at once. Calibration takes each
@@ -47,32 +49,30 @@ from multiple threads.
 ``model.json`` is one line of compact JSON with sorted keys: ``to_json``
 writes the document ``to_json_dict`` describes, byte for byte as
 ``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` would. A
-detector its arrays hold is written in the count layout, the arrays as
+detector that holds counts is written in the count layout, the arrays as
 they are: the cells' codes row by row in one flat list, their counts,
 and the length of the accepted prefix. Its masses are read back as
 ``count / sum(counts)``, the division ``fit_detector`` makes, so they are
-the same floats. A detector the dict and set hold is written in the
-count layout when they fit it, and otherwise (built through the API or
-edited after the fit) in the explicit layout, ``[cell, mass]`` pairs and
-the list of accepted cells, which is also how earlier versions wrote
-every detector; both layouts and earlier indented files load. The
-document holds the count layout's flat ``cells`` and ``counts`` as int64
-arrays, which ``to_json`` renders as decimal text in numpy
-(``_decimal``) and ``to_json_dict`` lists; every other value goes through
-``json``.
+the same floats. Only a detector built through the constructor whose
+cells do not fit the count layout holds masses; it is written in the
+explicit layout, ``[cell, mass]`` pairs and the list of accepted cells,
+which is also how earlier versions wrote every detector. Both layouts
+and earlier indented files load. The document holds the count layout's
+flat ``cells`` and ``counts`` as int64 arrays, which ``to_json`` renders
+as decimal text in numpy (``_decimal``) and ``to_json_dict`` lists;
+every other value goes through ``json``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,81 +87,128 @@ ANOMALY = "anomaly"
 _MAX_CODE = int(np.iinfo(np.int64).max)
 # the count layout holds fit row counts below this, which float64 holds exactly
 _MAX_EXACT = 2**53
+_INTEGER = (int, np.integer)
 
 
-_TO_VIEWS = threading.Lock()
-
-
-class _Ranked(NamedTuple):
-    """A detector's cells in the model file's count layout."""
-
-    cells: np.ndarray  # int64 [k, width], codes >= 0, by descending count, ties in tuple order
-    counts: np.ndarray  # int64, each at least 1, summing to below 2^53
-    n_accepted: int  # the length of the accepted prefix
-
-
-@dataclass
+@dataclass(frozen=True, init=False, eq=False)
 class SubspaceDetector:
     """One subspace's cells with their training masses, and the accepted ones.
 
-    ``fit_detector`` and the model reader build it from ``_Ranked`` arrays,
-    over which ``cell_mass`` and ``accepted_cells`` are views; the module
-    docstring gives the rule.
+    ``SubspaceDetector(subspace, cell_mass, accepted_cells, alpha,
+    fit_rows=None)`` turns a dict of masses and a set of accepted cells,
+    each cell a tuple of codes, into the arrays the module docstring
+    describes. It raises ValueError on what no model file can hold: an
+    empty subspace or a negative attribute, a cell not of the subspace's
+    width, a code that is not an integer in [0, 2^63) (``True`` is not
+    one), or a mass that is not a finite number.
     """
 
     subspace: tuple[int, ...]
-    cell_mass: dict[tuple[int, ...], float]
-    accepted_cells: set[tuple[int, ...]]
     alpha: float
-    fit_rows: int | None = None  # the rows it was fitted on; each mass is count / fit_rows
+    fit_rows: int | None  # the rows it was fitted on; each mass is count / fit_rows
+    # int64 [k, width]: ranked as the count layout ranks them when counts
+    # hold them, else in tuple order
+    _cells: np.ndarray = field(repr=False)
+    _counts: np.ndarray | None = field(repr=False)  # int64, or None when masses hold the cells
+    _masses: np.ndarray | None = field(repr=False)  # float64, or None when counts hold them
+    # int64 [a, width]: the ranked prefix of _cells when counts hold them, else in tuple order
+    _accepted: np.ndarray = field(repr=False)
 
-    _ranked = None  # the arrays while they hold the detector (not a field)
-    _accepted = None  # their accepted prefix as a tuple set, once a one-row call needs it
+    def __init__(self, subspace, cell_mass, accepted_cells, alpha: float, fit_rows=None):
+        subspace = tuple(subspace)
+        if not subspace or not _only(subspace, *_INTEGER) or min(subspace) < 0:
+            raise ValueError("subspace must be a non-empty tuple of attribute indices")
+        cells = _code_array(list(cell_mass), len(subspace))
+        accepted = _code_array(list(set(accepted_cells)), len(subspace))
+        accepted = accepted[_tuple_order(accepted)]
+        masses = _mass_array(list(cell_mass.values()))
+        counts = _counts_of(masses, fit_rows)
+        if counts is not None:
+            rank = np.lexsort((*cells.T[::-1], -counts))  # the last key sorts first
+            prefix = cells[rank[:len(accepted)]]
+            if np.array_equal(prefix[_tuple_order(prefix)], accepted):
+                ranked = cells[rank]
+                self._hold(subspace, alpha, int(fit_rows), ranked, counts[rank], None,
+                           ranked[:len(accepted)])
+                return
+        order = _tuple_order(cells)
+        self._hold(subspace, alpha, fit_rows, cells[order], None, masses[order], accepted)
+
+    def _hold(self, subspace, alpha, fit_rows, cells, counts, masses, accepted) -> None:
+        # the fields are set once, here: the dataclass is frozen
+        self.__dict__.update(subspace=subspace, alpha=alpha, fit_rows=fit_rows, _cells=cells,
+                             _counts=counts, _masses=masses, _accepted=accepted)
 
     @classmethod
-    def _of_ranked(cls, subspace: tuple[int, ...], alpha: float, ranked: _Ranked):
+    def _of_ranked(cls, subspace: tuple[int, ...], alpha: float, cells: np.ndarray,
+                   counts: np.ndarray, k: int) -> "SubspaceDetector":
+        """A detector of cells in the count layout's rank, with their counts
+        and the length of the accepted prefix."""
         d = cls.__new__(cls)
-        d.__dict__.update(subspace=subspace, alpha=alpha, fit_rows=int(ranked.counts.sum()),
-                          _ranked=ranked)
+        d._hold(subspace, alpha, int(counts.sum()), cells, counts, None, cells[:k])
         return d
 
-    def _to_views(self) -> None:
-        with _TO_VIEWS:  # threads scoring one model reach here together; one builds the views
-            if self._ranked is None:
-                return
-            cells, counts, k = self._ranked
-            keys = list(map(tuple, cells.tolist()))
-            n = self.fit_rows
-            # the set one-row layouts already hold becomes the view, so edits to it vote there
-            accepted = self.__dict__.pop("_accepted", None)
-            self.__dict__.update(cell_mass=dict(zip(keys, [c / n for c in counts.tolist()])),
-                                 accepted_cells=set(keys[:k]) if accepted is None else accepted,
-                                 _ranked=None)
+    @cached_property
+    def cell_mass(self) -> MappingProxyType:
+        """Each cell's training mass, keyed by the cell's tuple of codes; read-only."""
+        if self._counts is None:
+            masses = self._masses.tolist()
+        else:  # Python's int / int: the floats fit_detector's counts stand for
+            masses = [c / self.fit_rows for c in self._counts.tolist()]
+        return MappingProxyType(dict(zip(map(tuple, self._cells.tolist()), masses)))
 
-    def _accepted_set(self) -> set:
-        """The accepted cells as a set of tuples, without handing the
-        detector to its views: the view once built, else a set built once
-        from the arrays' accepted prefix and kept beside them."""
-        with _TO_VIEWS:
-            ranked = self._ranked
-            if ranked is None:
-                return self.__dict__["accepted_cells"]
-            if self._accepted is None:
-                cells = ranked.cells[:ranked.n_accepted].tolist()
-                self.__dict__["_accepted"] = set(map(tuple, cells))
-            return self._accepted
+    @cached_property
+    def accepted_cells(self) -> frozenset:
+        """The accepted cells' tuples of codes."""
+        return frozenset(map(tuple, self._accepted.tolist()))
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: a view not built yet
-        if self._ranked is not None and name in ("cell_mass", "accepted_cells"):
-            self._to_views()
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def __eq__(self, other):
+        if not isinstance(other, SubspaceDetector):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in ("subspace", "alpha", "fit_rows", "cell_mass", "accepted_cells"))
 
-    def __setattr__(self, name, value):
-        if self._ranked is not None:
-            self._to_views()
-        object.__setattr__(self, name, value)
+
+def _code_array(cells: list, width: int) -> np.ndarray:
+    """Cells, each a tuple of ``width`` integer codes in [0, 2^63), as int64 rows."""
+    if not all(isinstance(cell, tuple) and len(cell) == width for cell in cells):
+        raise ValueError(f"every cell must be a tuple of {width} codes")
+    flat = list(chain.from_iterable(cells))
+    if flat and not (_only(flat, *_INTEGER) and 0 <= min(flat) and max(flat) <= _MAX_CODE):
+        raise ValueError("every code must be an integer in [0, 2^63)")
+    return np.array(flat, dtype=np.int64).reshape(len(cells), width)
+
+
+def _mass_array(masses: list) -> np.ndarray:
+    """Cell masses, each a finite int or float (numpy's too), as float64."""
+    try:
+        finite = (_only(masses, int, float, np.integer, np.floating)
+                  and all(map(math.isfinite, masses)))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError("every cell mass must be a finite number")
+    return np.array(masses, dtype=np.float64)
+
+
+def _tuple_order(cells: np.ndarray) -> np.ndarray:
+    """The order that sorts int64 rows of codes as their tuples sort."""
+    return np.lexsort(cells.T[::-1])
+
+
+def _counts_of(masses: np.ndarray, n) -> np.ndarray | None:
+    """The int64 counts whose masses ``count / n`` are ``masses``, each at
+    least 1 and summing to ``n`` below 2^53; None if there are none."""
+    if n is None or not 0 < n < _MAX_EXACT or not ((0 < masses) & (masses <= 1)).all():
+        return None
+    counts = np.rint(masses * n)
+    if not (counts >= 1).all():
+        return None
+    # int64 / int divides as Python's int / int does below 2^53: the masses fit_detector made
+    counts = counts.astype(np.int64)
+    if counts.sum() != n or not np.array_equal(counts / n, masses):
+        return None
+    return counts
 
 
 def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetector:
@@ -186,7 +233,7 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
     covered_before = np.cumsum(counts) - counts
     n_accepted = int(np.count_nonzero(covered_before < (1.0 - alpha) * n - 1e-9))
     cells = train.codes[first[order][:, None], subspace]
-    return SubspaceDetector._of_ranked(subspace, alpha, _Ranked(cells, counts, n_accepted))
+    return SubspaceDetector._of_ranked(subspace, alpha, cells, counts, n_accepted)
 
 
 def _cell_getter(subspace) -> Callable[[list], tuple]:
@@ -201,14 +248,13 @@ def _cell_getter(subspace) -> Callable[[list], tuple]:
 class _Layout:
     """How each voting detector reads its cell from a row's list of codes."""
 
-    parts: tuple[tuple[Callable, set, float], ...]  # (cell getter, accepted cells, weight)
+    parts: tuple[tuple[Callable, frozenset, float], ...]  # (cell getter, accepted cells, weight)
     width: int  # codes a row needs
 
     @classmethod
     def of(cls, detectors, weights) -> "_Layout":
-        # the set the detector's view holds or will adopt, so cells added to
-        # it later still vote; a weight of 0.0 casts no vote
-        parts = tuple((_cell_getter(d.subspace), d._accepted_set(), float(w))
+        # a weight of 0.0 casts no vote
+        parts = tuple((_cell_getter(d.subspace), d.accepted_cells, float(w))
                       for d, w in zip(detectors, weights) if w != 0.0)
         return cls(parts, _width(detectors))
 
@@ -234,23 +280,6 @@ def _vote(layout: _Layout, row) -> float:
         if cell_of(row) in cells:
             s += w
     return s
-
-
-def _accepted_codes(d: SubspaceDetector) -> np.ndarray:
-    """A detector's accepted cells as int64 rows of codes: the arrays'
-    accepted prefix, or else the live set's cells, read on every call. A
-    cell holding a negative code or one past int64 matches no row and is
-    left out."""
-    ranked = d._ranked
-    if ranked is not None:
-        return ranked.cells[:ranked.n_accepted]
-    try:
-        flat = np.fromiter(chain.from_iterable(d.accepted_cells), np.int64)
-    except OverflowError:  # a code outside int64, which no row holds
-        held = [c for c in d.accepted_cells if 0 <= min(c) and max(c) <= _MAX_CODE]
-        flat = np.fromiter(chain.from_iterable(held), np.int64)
-    cells = flat.reshape(-1, len(d.subspace))
-    return cells[(cells >= 0).all(axis=1)]  # no row holds a negative code
 
 
 def _hits(cells: np.ndarray, by_attr: np.ndarray, subspace) -> np.ndarray:
@@ -287,7 +316,7 @@ def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
     for d, w in zip(detectors, weights):
         if w == 0.0:
             continue
-        cells = _accepted_codes(d)
+        cells = d._accepted
         if len(cells):
             scores[_hits(cells, by_attr, d.subspace)] += w
     return scores
@@ -310,7 +339,8 @@ def _require(doc, name: str, kind, where: str):
 
 
 def _only(values, *types) -> bool:
-    return set(map(type, values)) <= set(types)
+    """Whether every value is an instance of ``types``, and none a bool."""
+    return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
 
 
 def _finite(value, what: str) -> float:
@@ -331,9 +361,10 @@ def _code_row(row, width: int, what: str) -> tuple[int, ...]:
 
 
 def _counted_detector(d, attrs: tuple[int, ...], alpha: float, where: str) -> SubspaceDetector:
-    """A count-layout detector, held by its arrays when the writer would
-    write them back as read (ranked, counts summing to below 2^53);
-    otherwise by the dict and set, each mass ``count / sum(counts)``."""
+    """A count-layout detector: its arrays as read when they are as the
+    constructor would hold them (ranked, each count read back from its
+    mass, summing to below 2^53); otherwise the constructor's, each mass
+    ``count / sum(counts)``."""
     width = len(attrs)
     cells = _require(d, "cells", list, where)
     counts = _require(d, "counts", list, where)
@@ -358,12 +389,14 @@ def _counted_detector(d, attrs: tuple[int, ...], alpha: float, where: str) -> Su
         raise SchemaError(f"{where} field 'cells' lists a cell twice")
     n = sum(counts)
     if 0 < n < _MAX_EXACT:
-        ranked = _Ranked(codes, np.array(counts, dtype=np.int64), k)
-        if _writes_back(ranked.counts, key, n):
-            return SubspaceDetector._of_ranked(attrs, alpha, ranked)
-    keys = list(zip(*[iter(cells)] * width))  # the flat codes, width at a time
-    return SubspaceDetector(attrs, dict(zip(keys, [c / n for c in counts])), set(keys[:k]),
-                            alpha, n)
+        held = np.array(counts, dtype=np.int64)
+        step = np.diff(held)
+        # by descending count, ties in increasing tuple order, as _counts_of reads them back
+        if ((step <= 0).all() and ((step < 0) | (np.diff(key) > 0)).all()
+                and np.array_equal(np.rint(held / n * n), held)):
+            return SubspaceDetector._of_ranked(attrs, alpha, codes, held, k)
+    keys = list(map(tuple, codes.tolist()))
+    return SubspaceDetector(attrs, dict(zip(keys, [c / n for c in counts])), keys[:k], alpha, n)
 
 
 # a cell key's budget: keys and arities below it multiply without overflow
@@ -378,15 +411,6 @@ def _cell_keys(codes: np.ndarray) -> np.ndarray:
     columns = codes.T
     arities = [m + 1 for m in columns.max(axis=1).tolist()]
     return _joint_key(columns, arities, range(len(columns)), _CELL_KEYS)[0]
-
-
-def _writes_back(counts: np.ndarray, key: np.ndarray, n: int) -> bool:
-    """Whether the count layout holds cells of these counts and keys in
-    their order: by descending count, ties in increasing tuple order, each
-    count read back from its mass ``count / n`` (``_count_layout``)."""
-    step = np.diff(counts)
-    return bool((step <= 0).all() and ((step < 0) | (np.diff(key) > 0)).all()
-                and np.array_equal(np.rint(counts / n * n), counts))
 
 
 def _listed_cells(d, width: int, where: str):
@@ -431,47 +455,6 @@ def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
     return SubspaceDetector(tuple(attrs), cell_mass, accepted_cells, alpha)
 
 
-def _count_layout(d: SubspaceDetector) -> dict | None:
-    """The detector in the count layout, or None when its live cells do not fit it.
-
-    They fit when every mass is ``count / fit_rows`` for an int count of at
-    least 1, the counts sum to ``fit_rows``, every code is an int in
-    [0, 2^63), and the accepted cells are the prefix of the cells ranked by
-    descending count, ties in tuple order.
-    """
-    n = d.fit_rows
-    keys = list(d.cell_mass)
-    width = len(d.subspace)
-    if n is None or not 0 < n < _MAX_EXACT or set(map(len, keys)) - {width}:
-        return None
-    # numpy reads a list as int64 only when every code is an int within int64
-    codes = np.array(list(chain.from_iterable(keys)))
-    masses = np.array(list(d.cell_mass.values()))
-    if codes.dtype != np.int64 or masses.dtype != np.float64 or (codes < 0).any():
-        return None
-    counts = np.rint(masses * n)
-    if not ((1 <= counts) & (counts <= n)).all():
-        return None
-    # int64 / int divides as Python's int / int does below 2^53: the masses fit_detector made
-    counts = counts.astype(np.int64)
-    if counts.sum() != n or not np.array_equal(counts / n, masses):
-        return None
-    codes = codes.reshape(-1, width)
-    order = np.lexsort((*codes.T[::-1], -counts))  # the last key sorts first
-    k = len(d.accepted_cells)
-    if k > len(keys) or not all(map(d.accepted_cells.__contains__,
-                                    map(keys.__getitem__, order[:k].tolist()))):
-        return None
-    return {"attrs": _plain_list(d.subspace), "cells": codes[order].ravel(),
-            "counts": counts[order], "accepted": k}
-
-
-def _ranked_layout(d: SubspaceDetector) -> dict:
-    """The count layout of a detector its arrays hold: the arrays as they are."""
-    cells, counts, k = d._ranked
-    return {"attrs": list(d.subspace), "cells": cells.ravel(), "counts": counts, "accepted": k}
-
-
 def _plain(value):
     """A numpy scalar as the Python int or float it holds, which ``json``
     writes; any other value as it is."""
@@ -482,13 +465,17 @@ def _plain_list(values) -> list:
     return list(map(_plain, values))
 
 
-def _explicit_layout(d: SubspaceDetector) -> dict:
-    """The detector as ``[cell, mass]`` pairs and its accepted cells, each in tuple order."""
-    return {
-        "attrs": _plain_list(d.subspace),
-        "cells": [[_plain_list(key), _plain(mass)] for key, mass in sorted(d.cell_mass.items())],
-        "accepted": [_plain_list(key) for key in sorted(d.accepted_cells)],
-    }
+def _entry(d: SubspaceDetector) -> dict:
+    """The detector in the count layout, its arrays as they are, when
+    counts hold its cells; else in the explicit layout, ``[cell, mass]``
+    pairs and its accepted cells, each in tuple order."""
+    attrs = _plain_list(d.subspace)
+    if d._counts is not None:
+        return {"attrs": attrs, "cells": d._cells.ravel(), "counts": d._counts,
+                "accepted": len(d._accepted)}
+    masses = d._masses.tolist()
+    return {"attrs": attrs, "cells": [[cell, m] for cell, m in zip(d._cells.tolist(), masses)],
+            "accepted": d._accepted.tolist()}
 
 
 def _decimal(a: np.ndarray) -> str:
@@ -538,6 +525,13 @@ class EnsembleModel:
     alpha: float
     preprocess: PreprocessModel | None = None
 
+    def __post_init__(self):
+        if not self.detectors:
+            raise ValueError("a model needs at least one detector")
+        if np.shape(self.weights) != (len(self.detectors),):
+            raise ValueError(f"weights of shape {np.shape(self.weights)} "
+                             f"for {len(self.detectors)} detectors")
+
     @cached_property
     def _layout(self) -> _Layout:
         """Built on the first score and kept; detectors and weights must not change after."""
@@ -553,8 +547,7 @@ class EnsembleModel:
             "alpha": _plain(self.alpha),
             "rho": _plain(self.rho),
             "weights": [float(w) for w in self.weights],
-            "detectors": [_ranked_layout(d) if d._ranked is not None
-                          else _count_layout(d) or _explicit_layout(d) for d in self.detectors],
+            "detectors": [_entry(d) for d in self.detectors],
         }
         if self.preprocess is not None:
             doc["preprocess"] = self.preprocess.to_json_dict()
@@ -660,7 +653,7 @@ def fit_ensemble(
     # each detector's 0/1 vote on every validation row, from the table kernel's hit table
     votes = np.zeros((len(detectors), val_idx.size))
     for vote, d in zip(votes, detectors):
-        cells = _accepted_codes(d)
+        cells = d._accepted
         if len(cells):
             vote[_hits(cells, val_by_attr, d.subspace)] = 1.0
     errors = 1.0 - votes.mean(axis=1)

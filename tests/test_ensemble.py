@@ -2,7 +2,6 @@ import json
 import sys
 import threading
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,6 +141,16 @@ class TestFitEnsemble:
             fpr = labels.count("anomaly") / val.n_rows
             assert fpr <= 0.05 + 1.0 / val.n_rows + 1e-12
 
+    def test_a_model_without_detectors_is_refused(self):
+        with pytest.raises(ValueError, match="at least one detector"):
+            EnsembleModel([], np.array([]), rho=0.5, alpha=0.05)
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25], [[0.5], [0.5]]])
+    def test_weights_not_one_per_detector_are_refused(self, weights):
+        det = SubspaceDetector((0,), {(0,): 1.0}, {(0,)}, 0.05)
+        with pytest.raises(ValueError, match="for 2 detectors"):
+            EnsembleModel([det, det], np.array(weights), rho=0.5, alpha=0.05)
+
     def test_rejects_empty_subspaces_and_tiny_tables(self):
         t = table_with_masses([3, 3])
         with pytest.raises(ValueError):
@@ -185,10 +194,10 @@ class TestClassify:
             assert -1e-12 <= s <= 1 + 1e-12
         # forcing one more detector to accept never lowers the score
         row = tuple(int(v) for v in t.codes[0])
-        base = model.score(row)
-        for d in model.detectors:
-            d.accepted_cells.add(tuple(row[a] for a in d.subspace))
-        assert model.score(row) >= base - 1e-12
+        forced = [SubspaceDetector(d.subspace, d.cell_mass,
+                                   d.accepted_cells | {tuple(row[a] for a in d.subspace)},
+                                   d.alpha, d.fit_rows) for d in model.detectors]
+        assert replace(model, detectors=forced).score(row) >= model.score(row) - 1e-12
 
 
 class TestSplitIndices:
@@ -528,31 +537,11 @@ class TestTableKernel:
         ([[1, 1], [0, 0]], (0, 3)),
         # 4 * (2**62 + 4) wraps int64 to 16, the key of (0, 16)
         ([[4, 0], [0, HUGE]], (0, 16)),
-        # a negative digit: (1, -1) would key as (0, 2) at radix 3
-        ([[0, 2], [1, 0]], (1, -1)),
-        # codes outside int64, which no row can hold
-        ([[0, 0], [1, 1]], (0, 2**63)),
-        ([[0, 0], [1, 1]], (-2**63 - 1, 0)),
     ])
     def test_a_cell_never_accepts_a_row_with_other_codes(self, rows, cell):
         det = SubspaceDetector((0, 1), {cell: 1.0}, {cell}, 0.05)
         model = EnsembleModel([det], np.array([1.0]), rho=0.5, alpha=0.05)
         assert classify_table(model, table_from_rows(rows))[0].tolist() == [0.0, 0.0]
-
-    def test_a_cell_past_int64_is_a_miss_and_the_other_cells_still_vote(self):
-        det = SubspaceDetector((0,), {}, {(2**63,), (1,)}, 0.05)
-        model = EnsembleModel([det], np.array([1.0]), rho=0.5, alpha=0.05)
-        rows = [[0], [1]]
-        assert classify_table(model, table_from_rows(rows))[0].tolist() == [0.0, 1.0]
-        assert [classify(model, row)[0] for row in rows] == [0.0, 1.0]
-
-    def test_accepted_cells_are_read_on_every_call(self):
-        det = SubspaceDetector((1, 0), {(0, 1): 1.0}, {(0, 1)}, 0.05)
-        model = EnsembleModel([det], np.array([1.0]), rho=0.5, alpha=0.05)
-        table = table_from_rows([[1, 0], [2, 2]])
-        assert classify_table(model, table)[0].tolist() == [1.0, 0.0]
-        det.accepted_cells.add((2, 2))
-        assert classify_table(model, table)[0].tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("wide_weight", [0.0, -0.0, 0.5])
     def test_table_narrower_than_the_model_is_a_schema_error(self, wide_weight):
@@ -604,22 +593,11 @@ class TestRowKernel:
         assert [classify(model, row)[0] for row in table.codes] == want
         assert [detector_predict(model.detectors[0], row) for row in table.codes] == [1, 1, 0, 0, 0]
 
-    def test_cells_added_after_the_first_call_vote_on_the_next(self):
-        pair = SubspaceDetector((1, 0), {(0, 1): 1.0}, {(0, 1)}, 0.05)
-        single = SubspaceDetector((0,), {(1,): 1.0}, {(1,)}, 0.05)
-        model = EnsembleModel([pair, single], np.array([0.5, 0.5]), rho=0.5, alpha=0.05)
-        assert classify(model, (2, 2)) == (0.0, "anomaly")
-        layout = model._layout
-        pair.accepted_cells.add((2, 2))
-        single.accepted_cells.add((2,))
-        assert classify(model, (2, 2)) == (1.0, "normal")
-        assert model._layout is layout
-
 
 def fits_count_layout(d) -> bool:
-    """Whether a detector's live cells fit the count layout, by its plain rules."""
+    """Whether a detector's cells fit the count layout, by its plain rules."""
     n = d.fit_rows
-    if n is None:
+    if not n:  # None, or no rows to count
         return False
     counts = {cell: round(mass * n) for cell, mass in d.cell_mass.items()}
     ranked = sorted(counts, key=lambda cell: (-counts[cell], cell))
@@ -669,50 +647,147 @@ class TestModelFileLayouts:
             st.sampled_from((None, "accept-next", "drop-top", "reordered", *BREAKING_EDITS)),
             min_size=len(model.detectors), max_size=len(model.detectors)))
         unseen = int(fit.codes.max()) + 1
-        for i, (d, edit) in enumerate(zip(model.detectors, edits)):
-            ranked = sorted(d.cell_mass, key=lambda cell: (-d.cell_mass[cell], cell))
+        built = []
+        for d, edit in zip(model.detectors, edits):  # each edit is made to a copy of the views
+            ranked = ranked_cells(d)
+            cell_mass, accepted, fit_rows = dict(d.cell_mass), set(d.accepted_cells), d.fit_rows
             if edit == "built":  # the four positional fields: no fit_rows
-                model.detectors[i] = SubspaceDetector(d.subspace, dict(d.cell_mass),
-                                                      set(d.accepted_cells), d.alpha)
+                fit_rows = None
             elif edit == "reordered":  # the same cells, not in tuple order
-                d.cell_mass = dict(reversed(d.cell_mass.items()))
+                cell_mass = dict(reversed(cell_mass.items()))
             elif edit == "accept-unseen":
-                d.accepted_cells.add((unseen,) * len(d.subspace))
+                accepted.add((unseen,) * len(d.subspace))
             elif edit == "add-cell":  # a count of one more row, which the file cannot hold
-                d.cell_mass[(unseen,) * len(d.subspace)] = 1 / d.fit_rows
+                cell_mass[(unseen,) * len(d.subspace)] = 1 / d.fit_rows
             elif edit == "mass-ulp":
-                d.cell_mass[ranked[-1]] = float(np.nextafter(d.cell_mass[ranked[-1]], 2.0))
+                cell_mass[ranked[-1]] = float(np.nextafter(cell_mass[ranked[-1]], 2.0))
             elif edit == "accept-next":  # still a ranked prefix, one cell longer
-                d.accepted_cells.update(ranked[:len(d.accepted_cells) + 1])
+                accepted.update(ranked[:len(accepted) + 1])
             elif edit == "drop-top":
-                d.accepted_cells.discard(ranked[0])
+                accepted.discard(ranked[0])
+            built.append(SubspaceDetector(d.subspace, cell_mass, accepted, d.alpha, fit_rows))
+        model = replace(model, detectors=built)
         text = model.to_json()
         want = ["count" if fits_count_layout(d) else "explicit" for d in model.detectors]
         assert layouts(text) == want
         assert all(w == "explicit" for w, edit in zip(want, edits) if edit in BREAKING_EDITS)
         assert_read_back(EnsembleModel.from_json(text), model, text)
-        for d in model.detectors:  # the bytes do not depend on the order of cell_mass
-            d.cell_mass = dict(sorted(d.cell_mass.items()))
-        assert model.to_json() == text
+        # the bytes do not depend on the order of cell_mass
+        in_order = [SubspaceDetector(d.subspace, dict(sorted(d.cell_mass.items())),
+                                     d.accepted_cells, d.alpha, d.fit_rows) for d in built]
+        assert replace(model, detectors=in_order).to_json() == text
 
-    @pytest.mark.parametrize("edit, field", [
-        (lambda d: replace(d, accepted_cells=d.accepted_cells | {(0, 2**63)}), "accepted"),
-        (lambda d: replace(d, accepted_cells=d.accepted_cells | {(0, -1)}), "accepted"),
-        # counts that fit, but cells of the wrong width: flat codes would regroup them
-        (lambda d: replace(d, cell_mass={(0, 1, 2): 0.5, (3,): 0.5},
-                           accepted_cells={(0, 1, 2)}, fit_rows=2), "cells"),
-    ])
-    def test_a_detector_no_file_can_hold_is_written_explicitly_and_refused(self, edit, field):
-        model = pinned_model()
-        model.detectors[1] = edit(model.detectors[1])
+
+@st.composite
+def constructed_detectors(draw):
+    """A detector built through the constructor from drawn cells.
+
+    Codes run from 0 to 2**63 - 1. Masses are counts over their sum or
+    any finite floats; the accepted cells are a ranked prefix or any set,
+    cells outside ``cell_mass`` included; ``fit_rows`` is the counts' sum,
+    one more, or None.
+    """
+    width = draw(st.integers(1, 4))
+    cell = st.tuples(*[st.sampled_from([0, 1, 2, 9, 10, HUGE, 2**63 - 1])] * width)
+    cells = draw(st.lists(cell, unique=True, max_size=8))
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(cells), max_size=len(cells)))
+    n = sum(counts)
+    masses = ([c / n for c in counts] if draw(st.booleans()) else
+              draw(st.lists(st.floats(-1e300, 1e300),
+                            min_size=len(cells), max_size=len(cells))))
+    cell_mass = dict(zip(cells, masses))
+    ranked = sorted(cells, key=lambda c: (-cell_mass[c], c))
+    accepted = (set(ranked[:draw(st.integers(0, len(cells)))]) if draw(st.booleans())
+                else set(draw(st.lists(cell, max_size=4))))
+    subspace = draw(st.lists(st.integers(0, 5), min_size=width, max_size=width))
+    return SubspaceDetector(subspace, cell_mass, accepted, 0.1,
+                            draw(st.sampled_from([n, n + 1, None])))
+
+
+class TestDetectorConstructor:
+    @settings(max_examples=30)
+    @given(vote_cases())
+    def test_a_fitted_detector_rebuilt_from_its_views_is_the_same(self, case):
+        fit, subspaces, alpha, score = case
+        model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
+        rebuilt = [SubspaceDetector(d.subspace, dict(d.cell_mass), set(d.accepted_cells),
+                                    d.alpha, d.fit_rows) for d in model.detectors]
+        assert rebuilt == model.detectors
+        assert replace(model, detectors=rebuilt).to_json() == model.to_json()
+        rows = score.codes
+        for d, r in zip(model.detectors, rebuilt):
+            votes = ensemble._column_vote([d], [1.0], rows)
+            assert votes.tobytes() == ensemble._column_vote([r], [1.0], rows).tobytes()
+            row_layouts = [ensemble._Layout.of([x], [1.0]) for x in (d, r)]
+            assert [[ensemble._vote(layout, row) for row in rows[:60]]
+                    for layout in row_layouts] == [votes[:60].tolist()] * 2
+        # without fit_rows: the explicit layout, read back equal
+        bare = [SubspaceDetector(d.subspace, d.cell_mass, d.accepted_cells, d.alpha)
+                for d in model.detectors]
+        text = replace(model, detectors=bare).to_json()
+        assert layouts(text) == ["explicit"] * len(bare)
+        assert EnsembleModel.from_json(text).detectors == bare
+
+    @settings(max_examples=100)
+    @given(st.lists(constructed_detectors(), min_size=1, max_size=4))
+    def test_every_detector_the_constructor_accepts_is_read_back_equal(self, detectors):
+        model = EnsembleModel(detectors, np.full(len(detectors), 0.5), rho=0.5, alpha=0.1)
         text = model.to_json()
-        assert layouts(text) == ["count", "explicit"]
-        with pytest.raises(SchemaError, match=f"detector 1 field '{field}'"):
-            EnsembleModel.from_json(text)
+        loaded = EnsembleModel.from_json(text)
+        assert layouts(text) == ["count" if d._counts is not None else "explicit"
+                                 for d in detectors]
+        # fit_rows comes back only through the count layout
+        assert loaded.detectors == [
+            d if d._counts is not None
+            else SubspaceDetector(d.subspace, d.cell_mass, d.accepted_cells, d.alpha)
+            for d in detectors]
+        assert all(fits_count_layout(d) == (d._counts is not None) for d in detectors)
+        assert loaded.to_json() == text
+
+    @pytest.mark.parametrize("subspace, cell_mass, accepted_cells", [
+        ((), {}, set()),
+        ((0, -1), {}, set()),
+        ((0, True), {}, set()),
+        # cells of the wrong width: flat codes would regroup them
+        ((0, 1), {(0, 1, 2): 0.5, (3,): 0.5}, {(0, 1, 2)}),
+        ((0, 1), {(0, 1): 1.0}, {(0,)}),
+        ((0, 1), {(0, 2**63): 1.0}, set()),
+        ((0, 1), {(0, 1): 1.0}, {(0, 2**63)}),
+        ((0, 1), {(0, -1): 1.0}, set()),
+        ((0, 1), {(0, 1): 1.0}, {(-2**63 - 1, 0)}),
+        ((0, 1), {(0, True): 1.0}, set()),
+        ((0, 1), {(0, 1.0): 1.0}, set()),
+        ((0, 1), {(0, 1): float("nan")}, set()),
+        ((0, 1), {(0, 1): float("-inf")}, set()),
+        ((0, 1), {(0, 1): 10**400}, set()),
+        ((0, 1), {(0, 1): "1.0"}, set()),
+    ])
+    def test_what_no_model_file_can_hold_is_refused(self, subspace, cell_mass, accepted_cells):
+        with pytest.raises(ValueError):
+            SubspaceDetector(subspace, cell_mass, accepted_cells, 0.05, 1)
+
+    def test_views_cannot_be_assigned_or_mutated(self):
+        model = pinned_model()
+        text = model.to_json()
+        assert classify(model, (2, 2)) == (0.5, "anomaly")
+        layout = model._layout
+        for d in model.detectors:
+            for name in ("subspace", "cell_mass", "accepted_cells", "alpha", "fit_rows"):
+                with pytest.raises(AttributeError):
+                    setattr(d, name, getattr(d, name))
+                with pytest.raises(AttributeError):
+                    delattr(d, name)
+            with pytest.raises(TypeError):
+                d.cell_mass[(2,) * len(d.subspace)] = 1.0
+            with pytest.raises(AttributeError):
+                d.accepted_cells.add((2,) * len(d.subspace))
+        assert classify(model, (2, 2)) == (0.5, "anomaly")
+        assert model._layout is layout
+        assert model.to_json() == text
 
 
 def touched(detectors):
-    """The detectors, each handed to its views by reading one."""
+    """The detectors, each with its views read and kept."""
     for d in detectors:
         d.cell_mass
     return detectors
@@ -731,14 +806,13 @@ class TestArrayBackedDetectors:
         model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
         text = model.to_json()
         for held in (model, EnsembleModel.from_json(text)):
-            assert all(d._ranked is not None for d in held.detectors)
+            assert all(d._counts is not None for d in held.detectors)
             viewed = EnsembleModel.from_json(text)
-            touched(viewed.detectors)
-            assert all(d._ranked is None for d in viewed.detectors)
+            touched(viewed.detectors)  # reading the views changes no path
+            assert held.detectors == viewed.detectors
             assert held.to_json() == viewed.to_json() == text
             assert (classify_table(held, score)[0].tobytes()
                     == classify_table(viewed, score)[0].tobytes())
-            assert all(d._ranked is not None for d in held.detectors)
 
     @settings(max_examples=30)
     @given(vote_cases())
@@ -747,32 +821,25 @@ class TestArrayBackedDetectors:
         model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
         for held in (model, EnsembleModel.from_json(model.to_json())):
             for d in held.detectors:
-                cells, counts, k = d._ranked
+                cells, counts, k = d._cells, d._counts, len(d._accepted)
+                assert d._accepted.tobytes() == cells[:k].tobytes()
                 assert d.fit_rows == int(counts.sum())
                 ranked = ranked_cells(d)
                 assert [tuple(c) for c in cells.tolist()] == ranked
                 assert [d.cell_mass[c] for c in ranked] == [c / d.fit_rows for c in counts.tolist()]
                 assert d.accepted_cells == set(ranked[:k])
-                assert d._ranked is None
 
     @settings(max_examples=30)
     @given(vote_cases())
     def test_calibration_votes_and_rho_match_the_view_path(self, case):
         fit, subspaces, alpha, _ = case
         model = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
-        with mock.patch.object(ensemble, "fit_detector",
-                               lambda *args: touched([fit_detector(*args)])[0]):
-            viewed = fit_ensemble(fit, subspaces, alpha=alpha, seed=4)
-        assert all(d._ranked is None for d in viewed.detectors)
-        assert model.weights.tobytes() == viewed.weights.tobytes()
-        assert model.rho == viewed.rho
         # each detector's validation votes, one detector at a time
         _, val_idx = split_indices(fit.n_rows, 0.3, 4)
         val = fit.codes[val_idx]
-        for held, view in zip(model.detectors, viewed.detectors):
-            votes = ensemble._column_vote([held], [1.0], val)
-            assert votes.tolist() == [oracles.vote_of(view, row) for row in val]
-            assert votes.tobytes() == ensemble._column_vote([view], [1.0], val).tobytes()
+        for d in model.detectors:
+            votes = ensemble._column_vote([d], [1.0], val)
+            assert votes.tolist() == [oracles.vote_of(d, row) for row in val]
 
     @settings(max_examples=20)
     @given(vote_cases(), st.data())
@@ -793,18 +860,20 @@ class TestArrayBackedDetectors:
         det = doc["detectors"][1]  # counts [4, 3, 2, 2, 1, 1]: swap the tied (0, 2) and (2, 2)
         det["cells"][8:12] = [2, 2, 0, 2]
         d = EnsembleModel.from_json_dict(doc).detectors[1]
-        assert d._ranked is None
+        assert d._counts is None  # through the constructor, which holds masses
         assert d.accepted_cells == {(1, 1), (0, 1), (1, 0), (2, 0), (2, 2)}
-        # written as the views' rules say: the accepted cells are no ranked prefix
+        # written as the constructor's rule says: the accepted cells are no ranked prefix
         assert layouts(EnsembleModel.from_json_dict(doc).to_json()) == ["count", "explicit"]
 
-    def test_cells_edited_through_a_view_vote_and_are_written(self):
+    def test_a_cell_accepted_through_the_constructor_votes_in_both_kernels_and_is_written(self):
         model = pinned_model()
         table = table_from_rows([[2, 2], [0, 1]])
+        assert classify(model, (2, 2)) == (0.5, "anomaly")
         d = model.detectors[1]
-        assert d._ranked is not None
-        d.accepted_cells.add((2, 2))  # the view is built from the arrays, then edited
-        assert d._ranked is None
+        wider = SubspaceDetector(d.subspace, d.cell_mass, d.accepted_cells | {(2, 2)}, d.alpha,
+                                 d.fit_rows)
+        model = replace(model, detectors=[model.detectors[0], wider])
+        assert classify(model, (2, 2)) == (1.0, "normal")
         assert classify_table(model, table)[0].tolist() == [1.0, 1.0]
         # every cell is accepted now, still a ranked prefix
         assert json.loads(model.to_json())["detectors"][1]["accepted"] == 6
@@ -819,47 +888,17 @@ class TestArrayBackedDetectors:
         assert [classify(model, row)[0] for row in score.codes] == want
         assert [detector_predict(d, score.codes[0]) for d in model.detectors] == [
             oracles.vote_of(d, score.codes[0]) for d in viewed.detectors]
-        assert all(d._ranked is not None for d in model.detectors + fresh.detectors)
         assert (classify_table(model, score)[0].tobytes()
                 == classify_table(fresh, score)[0].tobytes())
         assert model.to_json() == text
 
-    def test_a_cell_added_after_a_one_row_call_votes_in_both_kernels_and_is_written(self):
-        model = pinned_model()
-        table = table_from_rows([[2, 2], [0, 1]])
-        assert classify(model, (2, 2)) == (0.5, "anomaly")
-        d = model.detectors[1]
-        assert d._ranked is not None
-        d.accepted_cells.add((2, 2))  # the view adopts the set the row kernel already holds
-        assert d._ranked is None
-        assert classify(model, (2, 2)) == (1.0, "normal")
-        assert classify_table(model, table)[0].tolist() == [1.0, 1.0]
-        assert json.loads(model.to_json())["detectors"][1]["accepted"] == 6
-
-    def test_an_empty_accepted_set_is_adopted_as_it_is(self):
-        ranked = ensemble._Ranked(np.array([[0], [1]]), np.array([1, 1]), n_accepted=0)
-        d = SubspaceDetector._of_ranked((0,), 0.5, ranked)
-        model = EnsembleModel([d], np.array([1.0]), rho=1.0, alpha=0.5)
-        assert classify(model, (0,)) == (0.0, "anomaly")
-        d.accepted_cells.add((0,))
-        assert classify(model, (0,)) == (1.0, "normal")
-
-    def test_assigning_a_field_hands_the_detector_to_its_views(self):
-        model = pinned_model()
-        d = model.detectors[1]
-        d.fit_rows = None  # without it the count layout cannot be written
-        assert d._ranked is None
-        assert layouts(model.to_json()) == ["count", "explicit"]
-        assert EnsembleModel.from_json(model.to_json()).detectors[1].cell_mass == d.cell_mass
-
-    def test_equality_and_replace_read_the_views(self):
+    def test_equality_reads_the_views(self):
         a, b = pinned_model().detectors[1], pinned_model().detectors[1]
-        assert a == b
-        built = replace(a, accepted_cells=set())
-        assert built.cell_mass is a.cell_mass and built.accepted_cells == set()
-        assert (a._ranked, built._ranked) == (None, None)
+        assert a == b and a is not b
+        assert SubspaceDetector(a.subspace, a.cell_mass, set(), a.alpha, a.fit_rows) != a
+        assert SubspaceDetector(a.subspace, a.cell_mass, a.accepted_cells, a.alpha) != a
 
-    def test_threads_scoring_a_fresh_model_build_each_view_once(self):
+    def test_threads_scoring_a_fresh_model_agree(self):
         rng = np.random.default_rng(62)
         fit = random_table(rng, n_rows=200, n_attrs=6)
         text = fit_ensemble(fit, [(0, 1, 2), (3, 4), (5,), (1, 4)], alpha=0.1, seed=4).to_json()
@@ -882,11 +921,8 @@ class TestArrayBackedDetectors:
                     t.join(timeout=30)
                 assert not any(t.is_alive() for t in threads)
                 assert got == [want] * 6
-                # the layout reads the very sets the detectors hold, so later edits vote
                 assert [cells for _, cells, _ in model._layout.parts] == [
                     d.accepted_cells for d in model.detectors]
-                assert all(cells is d.accepted_cells
-                           for (_, cells, _), d in zip(model._layout.parts, model.detectors))
         finally:
             sys.setswitchinterval(interval)
 
@@ -894,7 +930,7 @@ class TestArrayBackedDetectors:
 # 0, 9, 10, 99, 100, ..., 10**18 - 1, 10**18 and 2**63 - 1: a value of every decimal width
 DIGIT_EDGES = [0, *(10**k + d for k in range(1, 19) for d in (-1, 0)), 2**63 - 1]
 # how a drawn model's detector is held when it is written
-HOLDS = ("arrays", "views", "built", "numpy", "near-2^53")
+HOLDS = ("arrays", "accept-next", "built", "numpy", "near-2^53")
 NAMES = ["é", "☃ snow", "\u2028line", 'q"uo\\te', "😀", "\x7f\x00"]
 SYMBOLS = ["ü", "中文", "a\tb", "🎲", "plain"]
 
@@ -931,11 +967,11 @@ def written_models(draw):
     """A fitted model whose detectors are held each way one can be written.
 
     One column holds a code of every decimal width up to 2**63 - 1, the
-    others a few of them. A detector is left to its arrays, handed to its
-    views by an edit after which it still fits the count layout, rebuilt
-    through the constructor with Python or numpy codes and masses (the
-    explicit layout), or replaced by one read from a file whose counts lie
-    just below 2**53. Half the models carry a preprocessing model of
+    others a few of them. A detector is left as fitted, rebuilt through the
+    constructor with one more ranked cell accepted (still the count
+    layout), rebuilt with Python or numpy codes and masses and no fit_rows
+    (the explicit layout), or replaced by one read from a file whose counts
+    lie just below 2**53. Half the models carry a preprocessing model of
     non-ASCII names and symbols.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -953,8 +989,10 @@ def written_models(draw):
     holds = draw(st.lists(st.sampled_from(HOLDS), min_size=len(subspaces),
                           max_size=len(subspaces)))
     for i, (d, hold) in enumerate(zip(model.detectors, holds)):
-        if hold == "views":  # one more ranked cell accepted: still a ranked prefix
-            d.accepted_cells.update(ranked_cells(d)[:len(d.accepted_cells) + 1])
+        if hold == "accept-next":  # one more ranked cell accepted: still a ranked prefix
+            model.detectors[i] = SubspaceDetector(
+                d.subspace, d.cell_mass, ranked_cells(d)[:len(d.accepted_cells) + 1], d.alpha,
+                d.fit_rows)
         elif hold == "built":
             model.detectors[i] = SubspaceDetector(d.subspace, dict(d.cell_mass),
                                                   set(d.accepted_cells), d.alpha)
@@ -991,10 +1029,8 @@ class TestModelWriter:
     def test_writing_an_array_held_model_lists_no_cell_array(self):
         model = pinned_model()
         for d in model.detectors:
-            cells, counts, k = d._ranked
-            d.__dict__["_ranked"] = ensemble._Ranked(cells.view(NoToList), counts.view(NoToList), k)
+            d.__dict__.update(_cells=d._cells.view(NoToList), _counts=d._counts.view(NoToList))
         assert model.to_json() == PINNED_COUNT
-        assert all(d._ranked is not None for d in model.detectors)
 
     def test_a_detector_of_numpy_codes_and_masses_writes_reads_back_and_scores_the_same(self):
         codes = np.array([[0, 1], [1, 0]])

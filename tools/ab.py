@@ -123,10 +123,11 @@ def prepare(aag, inputs, out: Path, k: int, n_tables: int, seed: int) -> SimpleN
     if t.text != Path(model_json).read_text(encoding="utf-8"):
         raise RuntimeError(f"{out}: the library phases do not rebuild aag train's model.json")
     t.model = aag.EnsembleModel.from_json(t.text)  # one-row classify and the meaning check
-    # to_json and classify_table get a model as aag score reads it: reading a
-    # detector's cell_mass or accepted_cells, as the meaning check does,
-    # changes which path they take, and so do one-row calls in versions
-    # whose row kernel reads accepted_cells
+    # to_json and classify_table get a model as aag score reads it. Detectors
+    # are immutable arrays, so reading cell_mass or accepted_cells changes
+    # no path; in parent checkouts from before that, such a read (as the
+    # meaning check makes) or a one-row call moved a detector onto slower
+    # paths, so this separate copy is kept for them
     t.read = aag.EnsembleModel.from_json(t.text)
     rng = np.random.default_rng([seed, 1, k])  # perfbench's classify sample
     take = SAMPLE // n_tables + (k < SAMPLE % n_tables)
