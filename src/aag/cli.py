@@ -20,6 +20,7 @@ embeds ``main``.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import logging
 import sys
@@ -125,6 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_fit_params(p)
     p.add_argument("--repeats", type=_at_least(2), default=20)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing keeps no state."""
+    return build_parser()
 
 
 def _markers(args):
@@ -257,9 +264,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(name)s %(levelname)s %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     collecting = gc.isenabled()

@@ -61,12 +61,27 @@ and earlier indented files load. The document holds the count layout's
 flat ``cells`` and ``counts`` as int64 arrays, which ``to_json`` renders
 as decimal text in numpy (``_decimal``) and ``to_json_dict`` lists;
 every other value goes through ``json``.
+
+``from_json`` reads a file exactly as ``from_json_dict(json.loads(text))``
+does (the same model, or the same exception and message) but parses
+those arrays in numpy. It lifts each ``"cells":[...]`` and
+``"counts":[...]`` of digits and commas out of the text, leaving a
+placeholder string; decodes the small remainder with ``json``; parses
+the lifted items as int64 (``_integers``); and puts each array back at
+its placeholder, where a count-layout entry takes it as it is and any
+other entry the list ``json`` would have read. The whole text goes
+through ``json`` instead when an item is empty, has a leading zero or
+more than 18 digits, when the text holds the placeholder's escape
+``\\u0000``, when a placeholder is not a detector entry's own ``cells``
+or ``counts`` field, and when the remainder is not JSON (so the error
+gives the line and column in the file).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,7 +93,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .preprocess import PreprocessModel, _is_finite_number
-from .table import _KEYS_PER_ROW, DiscreteTable, _joint_key, validate_attrs
+from .table import _KEYS_PER_ROW, _MAX_KEYS, DiscreteTable, _joint_key, validate_attrs
 
 NORMAL = "normal"
 ANOMALY = "anomaly"
@@ -360,57 +375,85 @@ def _code_row(row, width: int, what: str) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _counted_detector(d, attrs: tuple[int, ...], alpha: float, where: str) -> SubspaceDetector:
+def _int64(values: list) -> np.ndarray | None:
+    """A model file's list of integers as int64; None if an item is not an
+    int (``True`` is not one) or falls outside int64."""
+    if not _only(values, int):
+        return None
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return None
+
+
+def _count_array(d, name: str, where: str, arrays: bool):
+    """A count-layout field: an int64 array the reader lifted (when
+    ``arrays``), or the list it must otherwise be."""
+    if arrays and type(d.get(name)) is np.ndarray:
+        return d[name]
+    return _require(d, name, list, where)
+
+
+def _counted_detector(d, attrs: tuple[int, ...], alpha: float, where: str,
+                      arrays: bool = False) -> SubspaceDetector:
     """A count-layout detector: its arrays as read when they are as the
     constructor would hold them (ranked, each count read back from its
     mass, summing to below 2^53); otherwise the constructor's, each mass
-    ``count / sum(counts)``."""
+    ``count / sum(counts)``. Its ``cells`` and ``counts`` are lists, or
+    int64 arrays of codes in [0, 10^18) that ``from_json`` lifted from
+    the text."""
     width = len(attrs)
-    cells = _require(d, "cells", list, where)
-    counts = _require(d, "counts", list, where)
+    cells = _count_array(d, "cells", where, arrays)
+    counts = _count_array(d, "counts", where, arrays)
     k = _require(d, "accepted", int, where)
-    if not _only(counts, int) or (counts and min(counts) < 1):
-        raise SchemaError(f"{where} field 'counts' must hold integers of at least 1")
+    bad_counts = SchemaError(f"{where} field 'counts' must hold integers of at least 1")
+    if isinstance(counts, list):
+        if not _only(counts, int) or (counts and min(counts) < 1):
+            raise bad_counts
+        held = _int64(counts)  # None when a count passes int64
+        n = sum(counts)
+    else:
+        held = counts
+        if held.size and held.min() < 1:
+            raise bad_counts
+        # a sum that could pass int64 is taken over Python's ints
+        n = (sum(held.tolist()) if held.size and held.max() > _MAX_CODE // held.size
+             else int(held.sum()))
     bad_cells = SchemaError(f"{where} field 'cells' must hold {width} codes in [0, 2^63) "
                             f"for each of the {len(counts)} counts")
-    if len(cells) != width * len(counts) or not _only(cells, int):
+    if len(cells) != width * len(counts):
         raise bad_cells
-    try:
-        codes = np.fromiter(cells, np.int64, len(cells)).reshape(len(counts), width)
-    except OverflowError:  # a code outside int64
-        raise bad_cells from None
-    if codes.size and codes.min() < 0:
+    codes = _int64(cells) if isinstance(cells, list) else cells
+    if codes is None or (codes.size and codes.min() < 0):
         raise bad_cells
+    codes = codes.reshape(len(counts), width)
     if not 0 <= k <= len(counts):
         raise SchemaError(f"{where} field 'accepted' must be a number of cells "
                           f"in [0, {len(counts)}]")
     key = _cell_keys(codes)
-    if np.unique(key).size < len(key):
+    in_order = np.sort(key)
+    if (in_order[1:] == in_order[:-1]).any():
         raise SchemaError(f"{where} field 'cells' lists a cell twice")
-    n = sum(counts)
     if 0 < n < _MAX_EXACT:
-        held = np.array(counts, dtype=np.int64)
-        step = np.diff(held)
+        step = held[1:] - held[:-1]
         # by descending count, ties in increasing tuple order, as _counts_of reads them back
-        if ((step <= 0).all() and ((step < 0) | (np.diff(key) > 0)).all()
+        if ((step <= 0).all() and ((step < 0) | (key[1:] > key[:-1])).all()
                 and np.array_equal(np.rint(held / n * n), held)):
             return SubspaceDetector._of_ranked(attrs, alpha, codes, held, k)
     keys = list(map(tuple, codes.tolist()))
-    return SubspaceDetector(attrs, dict(zip(keys, [c / n for c in counts])), keys[:k], alpha, n)
-
-
-# a cell key's budget: keys and arities below it multiply without overflow
-_CELL_KEYS = 2**31
+    masses = [c / n for c in (counts if held is None else held.tolist())]
+    return SubspaceDetector(attrs, dict(zip(keys, masses)), keys[:k], alpha, n)
 
 
 def _cell_keys(codes: np.ndarray) -> np.ndarray:
     """The joint key of each row of codes: keys sort as the rows do, and
-    are equal exactly when the rows are."""
+    are equal exactly when the rows are. They index no table, so only a
+    multiply that could overflow renumbers them."""
     if not codes.size:
         return np.zeros(len(codes), dtype=np.int64)
     columns = codes.T
     arities = [m + 1 for m in columns.max(axis=1).tolist()]
-    return _joint_key(columns, arities, range(len(columns)), _CELL_KEYS)[0]
+    return _joint_key(columns, arities, range(len(columns)), _MAX_KEYS)[0]
 
 
 def _listed_cells(d, width: int, where: str):
@@ -441,16 +484,22 @@ def _listed_cells(d, width: int, where: str):
     return cell_mass, accepted_cells
 
 
-def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
-    """One detector of a model file in either layout, its cells checked in one pass each."""
+def _counted(d: dict) -> bool:
+    """Whether a detector entry is in the count layout: it has 'counts' or an
+    int 'accepted', so a count-layout entry missing either field is refused
+    naming it."""
+    return "counts" in d or type(d.get("accepted")) is int
+
+
+def _detector_from_json(d, i: int, alpha: float, arrays: bool = False) -> SubspaceDetector:
+    """One detector of a model file in either layout, its cells checked in
+    one pass each; ``arrays``: a count-layout entry may hold lifted arrays."""
     where = f"model detector {i}"
     attrs = _require(d, "attrs", list, where)
     if not attrs or not _only(attrs, int) or min(attrs) < 0:
         raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
-    # 'counts' or an int 'accepted' marks the count layout, so a count-layout
-    # detector missing either field is refused naming it
-    if "counts" in d or type(d.get("accepted")) is int:
-        return _counted_detector(d, tuple(attrs), alpha, where)
+    if _counted(d):
+        return _counted_detector(d, tuple(attrs), alpha, where, arrays)
     cell_mass, accepted_cells = _listed_cells(d, len(attrs), where)
     return SubspaceDetector(tuple(attrs), cell_mass, accepted_cells, alpha)
 
@@ -517,6 +566,100 @@ def _render(doc: dict) -> str:
     return _object(parts)
 
 
+# A count-layout array as _render writes it, digits and commas only; the
+# reader lifts it out of the text and leaves a placeholder string, a NUL
+# and the array's index. A model file can write a NUL only as this escape,
+# so where it does not occur, every NUL the remainder decodes is a placeholder.
+_LIFTED = re.compile(r'"(cells|counts)":\[([0-9,]*)\]')
+_HOLE = "\\u0000"
+# the most digits a lifted item may have: 10^18 - 1 is below 2^63
+_DIGITS = 18
+# the text one parsing pass takes, unless one array is longer
+_PARSE_CHARS = 1 << 16
+
+
+def _lift(text) -> tuple[str, list[str]] | None:
+    """The text with each count-layout array replaced by its placeholder,
+    and the arrays' bodies; None if the text is not a str or holds the
+    placeholder's escape, so that a placeholder could be mistaken."""
+    if not isinstance(text, str) or _HOLE in text:
+        return None
+    bodies = []
+
+    def hole(m) -> str:
+        bodies.append(m[2])
+        return f'"{m[1]}":"{_HOLE}{len(bodies) - 1}"'
+    return _LIFTED.sub(hole, text), bodies
+
+
+def _integers(bodies: list[str]) -> list[np.ndarray] | None:
+    """Each body's comma-separated decimal items as int64, or None if an
+    item is empty, has a leading zero or more than ``_DIGITS`` digits: the
+    whole text then goes through ``json``. Runs of bodies of up to
+    ``_PARSE_CHARS`` characters are parsed together, so the temporaries
+    stay small beside the arrays they make."""
+    arrays, start = [], 0
+    while start < len(bodies):
+        stop, size = start + 1, len(bodies[start])
+        while stop < len(bodies) and size + len(bodies[stop]) <= _PARSE_CHARS:
+            size += len(bodies[stop])
+            stop += 1
+        parsed = _parsed(bodies[start:stop])
+        if parsed is None:
+            return None
+        arrays += parsed
+        start = stop
+    return arrays
+
+
+def _parsed(bodies: list[str]) -> list[np.ndarray] | None:
+    """``_integers`` of one run of bodies, the inverse of ``_decimal``:
+    every item's last digit, then, place by place, the digits of the items
+    that reach that place times its power of ten."""
+    # every item ends at a comma, the last one too
+    text = np.frombuffer(",".join([*filter(None, bodies), ""]).encode("ascii"), dtype=np.uint8)
+    values = np.zeros(0, dtype=np.int64)
+    if text.size:
+        ends = np.flatnonzero(text == ord(","))
+        widths = np.diff(ends, prepend=-1) - 1
+        digits = text - np.uint8(ord("0"))
+        values = digits.take(ends - 1).astype(np.int64)
+        wide = np.flatnonzero(widths > 1)  # most codes and counts are one digit
+        if widths.min() < 1 or wide.size and (
+                widths.max() > _DIGITS or not digits.take(ends[wide] - widths[wide]).all()):
+            return None
+        for place in range(1, int(widths.max())):
+            wide = wide[widths[wide] > place]
+            values[wide] += digits.take(ends[wide] - 1 - place).astype(np.int64) * 10**place
+    stops = np.cumsum([body.count(",") + 1 if body else 0 for body in bodies]).tolist()
+    return [values[start:stop] for start, stop in zip([0, *stops], stops)]
+
+
+def _put_back(doc, arrays: list[np.ndarray]) -> bool:
+    """Puts each lifted array back where its placeholder was decoded: an
+    int64 array in a count-layout entry, the list ``json`` would have
+    read in any other. True if every placeholder was a detector entry's
+    own 'cells' or 'counts' field."""
+    if not arrays:
+        return True
+    entries = doc.get("detectors") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        return False
+    found = 0
+    for d in entries:
+        if not isinstance(d, dict):
+            continue
+        counted = _counted(d)
+        for name in ("cells", "counts"):
+            value = d.get(name)
+            if type(value) is str and value.startswith("\0"):
+                array = arrays[int(value[1:])]
+                d[name] = array if counted else array.tolist()
+                found += 1
+    # each placeholder is decoded at most once, so all were put back
+    return found == len(arrays)
+
+
 @dataclass
 class EnsembleModel:
     detectors: list[SubspaceDetector]
@@ -570,6 +713,11 @@ class EnsembleModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnsembleModel":
         """Read a model document; a missing or ill-typed field raises SchemaError naming it."""
+        return cls._of_document(doc)
+
+    @classmethod
+    def _of_document(cls, doc, arrays: bool = False) -> "EnsembleModel":
+        """``from_json_dict``; ``arrays``: count-layout entries may hold lifted arrays."""
         entries = _require(doc, "detectors", list, "model")
         weights = _require(doc, "weights", list, "model")
         rho = _finite(_require(doc, "rho", (int, float), "model"), "model field 'rho'")
@@ -582,7 +730,7 @@ class EnsembleModel:
         if not _only(weights, int, float):
             raise SchemaError("model field 'weights' must hold numbers")
         weights = [_finite(w, "model field 'weights' entries") for w in weights]
-        detectors = [_detector_from_json(d, i, alpha) for i, d in enumerate(entries)]
+        detectors = [_detector_from_json(d, i, alpha, arrays) for i, d in enumerate(entries)]
         pp = None
         if "preprocess" in doc:
             try:
@@ -599,6 +747,16 @@ class EnsembleModel:
 
     @classmethod
     def from_json(cls, text: str) -> "EnsembleModel":
+        """Read ``model.json``: as ``from_json_dict(json.loads(text))`` reads
+        it, with the count layout's arrays parsed in numpy."""
+        lifted = _lift(text)
+        if lifted is not None and (arrays := _integers(lifted[1])) is not None:
+            try:
+                doc = json.loads(lifted[0])
+            except json.JSONDecodeError:
+                doc = None  # decoded again whole below, for the error's place
+            if doc is not None and _put_back(doc, arrays):
+                return cls._of_document(doc, arrays=True)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

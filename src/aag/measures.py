@@ -38,10 +38,11 @@ see ``multi_attribute_measure``.
 
 Every joint entropy is counted with one ``np.bincount`` over the
 attribute set's key from ``table._joint_key``: the mixed-radix number
-((c0*r1 + c1)*r2 + c2)... of the codes, renumbered densely by
-``np.unique`` whenever its key space passes 4 keys per row. The key sorts
-as the code tuples do, so the nonzero counts come in lexicographic tuple
-order for every set, however often it was renumbered, and log2(k) is read
+((c0*r1 + c1)*r2 + c2)... of the codes, carried exactly and renumbered
+densely by ``np.unique`` once at the end when its key space passes 4
+keys per row (and midway only where a multiply could pass 2^62). The key
+sorts as the code tuples do, so the nonzero counts come in lexicographic
+tuple order for every set, however it was renumbered, and log2(k) is read
 from a table of ``np.log2`` values. Two kernels count it. The entropy
 memo that ``PairCache`` and the measure functions read (``_Entropies``)
 fills the sets of two and three attributes a fan at a time: H(p + (z,))

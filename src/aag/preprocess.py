@@ -101,8 +101,9 @@ def load_csv(
     numbers (``inf``, ``-inf``, ``nan``, or a value too large for a float)
     count as missing too, so they are imputed with the training mean; in
     a categorical column they are ordinary symbols. Header names must be
-    distinct: a repeated name raises ParseError, as does a file that is
-    not UTF-8 or one ``csv`` refuses (a field past its size limit).
+    distinct: a repeated name raises ParseError, as does a blank first
+    line (no column names), a file that is not UTF-8 or one ``csv``
+    refuses (a field past its size limit).
     """
     names, data, fields = _read_rows(path, delimiter, header)
     missing, as_nan = _missing(missing_markers)
@@ -242,6 +243,8 @@ def _names(path, first: list[str] | None, header: bool) -> list[str]:
     """Column names from the first row's fields, ``first`` (None: the file has no row)."""
     if first is None:
         raise ParseError(f"{path}: empty file")
+    if not first:  # a blank first line
+        raise ParseError(f"{path}: no column names")
     names = [h.strip() for h in first] if header else [f"c{i}" for i in range(len(first))]
     repeated = sorted(name for name, k in Counter(names).items() if k > 1)
     if repeated:

@@ -81,6 +81,8 @@ class DiscreteTable:
 
 # the key-space budget of a joint key, in keys per row
 _KEYS_PER_ROW = 4
+# the largest key space a partial key multiplies into: its keys stay below 2^62
+_MAX_KEYS = 2**62
 
 
 def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -92,19 +94,29 @@ def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
 def _joint_key(columns, arities, attrs: tuple[int, ...], budget: int) -> tuple[np.ndarray, int]:
     """The mixed-radix key ((c0*r1 + c1)*r2 + c2)... of each row's codes of
     ``attrs`` (``columns[a]`` holds attribute ``a``) and its key space size,
-    ``0 <= key < size <= max(budget, n_rows)``. A column or partial key
-    whose key space passes ``budget`` is renumbered densely, in order: keys
-    sort as the code tuples do and cannot overflow int64, and a key never
-    renumbered indexes the flattened contingency table."""
+    ``0 <= key < size <= max(budget, n_rows)``.
+
+    The key is carried exactly. Only when the next multiply could pass
+    ``_MAX_KEYS`` is the partial key (and then, if that is not enough,
+    the column) renumbered densely, in order; and the whole key is
+    renumbered once at the end if its key space passes ``budget``. A
+    dense renumbering keeps order and equality, so keys sort as the code
+    tuples do and cannot overflow int64, and a key never renumbered
+    indexes the flattened contingency table."""
     key, size = None, 1
     for a in attrs:
         column, arity = columns[a], arities[a]
-        if arity > budget:
-            column, arity = _dense(column)
-        key = column if key is None else key * arity + column
-        size *= arity
-        if size > budget:
+        if key is None:
+            key, size = column, arity
+            continue
+        if size * arity > _MAX_KEYS:
             key, size = _dense(key)
+            if size * arity > _MAX_KEYS:
+                column, arity = _dense(column)
+        key = key * arity + column
+        size *= arity
+    if size > budget:
+        key, size = _dense(key)
     return key, size
 
 

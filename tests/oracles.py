@@ -227,6 +227,8 @@ def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True, 
         rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows:
         raise ValueError(f"{path}: empty file")
+    if not rows[0]:
+        raise ValueError(f"{path}: no column names")
     names = [h.strip() for h in rows[0]] if header else [f"c{i}" for i in range(len(rows[0]))]
     repeated = sorted(name for name in set(names) if names.count(name) > 1)
     if repeated:

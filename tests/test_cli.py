@@ -306,7 +306,7 @@ class TestDataFaults:
         ("subspaces", _csv_lines(260, 1), [], "grouping needs at least two attributes"),
         ("stability", _csv_lines(260, 1), ["--repeats", 2],
          "grouping needs at least two attributes"),
-        ("train", "\n\n", [], "training table is empty"),
+        ("train", "\n\n", [], "no column names"),
         ("bench", _csv_lines(260, 1), ["--class-column", "class", "--setting", 3,
                                        "--repeats", 1], "training table is empty"),
         ("subspaces", _csv_lines(20, 2) + "x" * 140_000 + ",1\n", [],

@@ -1,11 +1,13 @@
 import json
+import re
 import sys
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -268,6 +270,79 @@ def repeat_first_cell(det):
     det["cells"][width:2 * width] = det["cells"][:width]
 
 
+# edits of the pinned fit's explicit-layout document that its reader refuses,
+# each with the field its SchemaError names
+FIELD_EDITS = [
+    (lambda d: d.pop("detectors"), "detectors"),
+    (lambda d: d.update(detectors={}), "detectors"),
+    (lambda d: d.update(detectors=[]), "detectors"),
+    (lambda d: d.pop("weights"), "weights"),
+    (lambda d: d["weights"].append(0.5), "weights"),
+    (lambda d: d.update(weights=["a", 1]), "weights"),
+    (lambda d: d.pop("rho"), "rho"),
+    (lambda d: d.update(rho="high"), "rho"),
+    (lambda d: d.pop("alpha"), "alpha"),
+    (lambda d: d.update(alpha=True), "alpha"),
+    (lambda d: d["detectors"][1].pop("attrs"), "attrs"),
+    (lambda d: d["detectors"][1].update(attrs=[0, "1"]), "attrs"),
+    (lambda d: d["detectors"][1].update(attrs=[]), "attrs"),
+    (lambda d: d["detectors"][1].pop("cells"), "cells"),
+    (lambda d: d["detectors"][1].update(cells=[[[0, 1]]]), "cells"),
+    (lambda d: d["detectors"][1].update(cells=[[[0], 1.0]]), "cells"),
+    (lambda d: d["detectors"][1].update(cells=[[[0, 1], "x"]]), "cells"),
+    (lambda d: d["detectors"][1].pop("accepted"), "accepted"),
+    (lambda d: d["detectors"][1].update(accepted=[[0, 1.5]]), "accepted"),
+    (lambda d: d["detectors"][1].update(accepted=[[0, [1]]]), "accepted"),
+    (lambda d: d["detectors"][1].update(accepted=[[0, -1]]), "accepted"),
+    (lambda d: d["detectors"].__setitem__(0, [0]), "attrs"),
+    (lambda d: d.update(preprocess={"bins": 10}), "preprocess"),
+    (lambda d: d.update(preprocess={"bins": 10, "columns": {}}), "preprocess"),
+    (lambda d: d.update(preprocess={"bins": 10, "columns": []}), "preprocess"),
+    (lambda d: d.update(preprocess={"bins": 10, "columns": "ab"}), "preprocess"),
+    (lambda d: d["weights"].__setitem__(0, float("nan")), "weights"),
+    (lambda d: d["weights"].__setitem__(1, float("inf")), "weights"),
+    (lambda d: d["weights"].__setitem__(1, 10**400), "weights"),
+    (lambda d: d.update(rho=float("nan")), "rho"),
+    (lambda d: d.update(rho=float("-inf")), "rho"),
+    (lambda d: d.update(alpha=float("nan")), "alpha"),
+    (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, float("nan")), "cells"),
+    (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, float("inf")), "cells"),
+    (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, 10**400), "cells"),
+    (lambda d: d["detectors"][1].update(accepted=[[0, 2**63]]), "accepted"),
+    (lambda d: d["detectors"][1]["cells"].append([[0, 1], 0.5]), "cells"),
+    (lambda d: d["detectors"][1]["accepted"].append([0, 1]), "accepted"),
+]
+# ... and of a count-layout detector entry
+COUNT_FIELD_EDITS = [
+    (lambda d: d.pop("attrs"), "attrs"),
+    (lambda d: d.update(attrs=[0, True]), "attrs"),
+    (lambda d: d.pop("cells"), "cells"),
+    (lambda d: d.pop("counts"), "counts"),
+    (lambda d: d.pop("accepted"), "accepted"),
+    (lambda d: d.update(cells={}), "cells"),
+    (lambda d: d.update(counts=3), "counts"),
+    (lambda d: d["cells"].__setitem__(0, 1.5), "cells"),
+    (lambda d: d["cells"].__setitem__(0, 1.0), "cells"),
+    (lambda d: d["cells"].__setitem__(0, True), "cells"),
+    (lambda d: d["cells"].__setitem__(0, "1"), "cells"),
+    (lambda d: d["cells"].__setitem__(0, -1), "cells"),
+    (lambda d: d["cells"].__setitem__(0, 2**63), "cells"),
+    (lambda d: d["cells"].pop(), "cells"),
+    (lambda d: d["cells"].append(0), "cells"),
+    (lambda d: d["counts"].pop(), "cells"),
+    (lambda d: d["counts"].__setitem__(0, 0), "counts"),
+    (lambda d: d["counts"].__setitem__(0, -2), "counts"),
+    (lambda d: d["counts"].__setitem__(0, 4.0), "counts"),
+    (lambda d: d["counts"].__setitem__(0, True), "counts"),
+    (lambda d: d.update(accepted=-1), "accepted"),
+    (lambda d: d.update(accepted=7), "accepted"),
+    (lambda d: d.update(accepted=5.0), "accepted"),
+    (lambda d: d.update(accepted=True), "accepted"),
+    (lambda d: d.update(accepted=[[0, 1]]), "accepted"),
+    (repeat_first_cell, "cells"),
+]
+
+
 class TestModelFileValidation:
     @staticmethod
     def doc():
@@ -278,80 +353,14 @@ class TestModelFileValidation:
     def count_doc():
         return pinned_model().to_json_dict()
 
-    @pytest.mark.parametrize("edit, field", [
-        (lambda d: d.pop("detectors"), "detectors"),
-        (lambda d: d.update(detectors={}), "detectors"),
-        (lambda d: d.update(detectors=[]), "detectors"),
-        (lambda d: d.pop("weights"), "weights"),
-        (lambda d: d["weights"].append(0.5), "weights"),
-        (lambda d: d.update(weights=["a", 1]), "weights"),
-        (lambda d: d.pop("rho"), "rho"),
-        (lambda d: d.update(rho="high"), "rho"),
-        (lambda d: d.pop("alpha"), "alpha"),
-        (lambda d: d.update(alpha=True), "alpha"),
-        (lambda d: d["detectors"][1].pop("attrs"), "attrs"),
-        (lambda d: d["detectors"][1].update(attrs=[0, "1"]), "attrs"),
-        (lambda d: d["detectors"][1].update(attrs=[]), "attrs"),
-        (lambda d: d["detectors"][1].pop("cells"), "cells"),
-        (lambda d: d["detectors"][1].update(cells=[[[0, 1]]]), "cells"),
-        (lambda d: d["detectors"][1].update(cells=[[[0], 1.0]]), "cells"),
-        (lambda d: d["detectors"][1].update(cells=[[[0, 1], "x"]]), "cells"),
-        (lambda d: d["detectors"][1].pop("accepted"), "accepted"),
-        (lambda d: d["detectors"][1].update(accepted=[[0, 1.5]]), "accepted"),
-        (lambda d: d["detectors"][1].update(accepted=[[0, [1]]]), "accepted"),
-        (lambda d: d["detectors"][1].update(accepted=[[0, -1]]), "accepted"),
-        (lambda d: d["detectors"].__setitem__(0, [0]), "attrs"),
-        (lambda d: d.update(preprocess={"bins": 10}), "preprocess"),
-        (lambda d: d.update(preprocess={"bins": 10, "columns": {}}), "preprocess"),
-        (lambda d: d.update(preprocess={"bins": 10, "columns": []}), "preprocess"),
-        (lambda d: d.update(preprocess={"bins": 10, "columns": "ab"}), "preprocess"),
-        (lambda d: d["weights"].__setitem__(0, float("nan")), "weights"),
-        (lambda d: d["weights"].__setitem__(1, float("inf")), "weights"),
-        (lambda d: d["weights"].__setitem__(1, 10**400), "weights"),
-        (lambda d: d.update(rho=float("nan")), "rho"),
-        (lambda d: d.update(rho=float("-inf")), "rho"),
-        (lambda d: d.update(alpha=float("nan")), "alpha"),
-        (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, float("nan")), "cells"),
-        (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, float("inf")), "cells"),
-        (lambda d: d["detectors"][1]["cells"][0].__setitem__(1, 10**400), "cells"),
-        (lambda d: d["detectors"][1].update(accepted=[[0, 2**63]]), "accepted"),
-        (lambda d: d["detectors"][1]["cells"].append([[0, 1], 0.5]), "cells"),
-        (lambda d: d["detectors"][1]["accepted"].append([0, 1]), "accepted"),
-    ])
+    @pytest.mark.parametrize("edit, field", FIELD_EDITS)
     def test_malformed_field_is_a_schema_error_naming_it(self, edit, field):
         doc = self.doc()
         edit(doc)
         with pytest.raises(SchemaError, match=f"'{field}'"):
             EnsembleModel.from_json_dict(doc)
 
-    @pytest.mark.parametrize("edit, field", [
-        (lambda d: d.pop("attrs"), "attrs"),
-        (lambda d: d.update(attrs=[0, True]), "attrs"),
-        (lambda d: d.pop("cells"), "cells"),
-        (lambda d: d.pop("counts"), "counts"),
-        (lambda d: d.pop("accepted"), "accepted"),
-        (lambda d: d.update(cells={}), "cells"),
-        (lambda d: d.update(counts=3), "counts"),
-        (lambda d: d["cells"].__setitem__(0, 1.5), "cells"),
-        (lambda d: d["cells"].__setitem__(0, 1.0), "cells"),
-        (lambda d: d["cells"].__setitem__(0, True), "cells"),
-        (lambda d: d["cells"].__setitem__(0, "1"), "cells"),
-        (lambda d: d["cells"].__setitem__(0, -1), "cells"),
-        (lambda d: d["cells"].__setitem__(0, 2**63), "cells"),
-        (lambda d: d["cells"].pop(), "cells"),
-        (lambda d: d["cells"].append(0), "cells"),
-        (lambda d: d["counts"].pop(), "cells"),
-        (lambda d: d["counts"].__setitem__(0, 0), "counts"),
-        (lambda d: d["counts"].__setitem__(0, -2), "counts"),
-        (lambda d: d["counts"].__setitem__(0, 4.0), "counts"),
-        (lambda d: d["counts"].__setitem__(0, True), "counts"),
-        (lambda d: d.update(accepted=-1), "accepted"),
-        (lambda d: d.update(accepted=7), "accepted"),
-        (lambda d: d.update(accepted=5.0), "accepted"),
-        (lambda d: d.update(accepted=True), "accepted"),
-        (lambda d: d.update(accepted=[[0, 1]]), "accepted"),
-        (repeat_first_cell, "cells"),
-    ])
+    @pytest.mark.parametrize("edit, field", COUNT_FIELD_EDITS)
     def test_malformed_count_layout_field_is_a_schema_error_naming_it(self, edit, field):
         doc = self.count_doc()
         edit(doc["detectors"][1])
@@ -963,11 +972,11 @@ def near_2_53(rng, d: SubspaceDetector) -> SubspaceDetector:
 
 
 @st.composite
-def written_models(draw):
+def written_models(draw, digits=19):
     """A fitted model whose detectors are held each way one can be written.
 
-    One column holds a code of every decimal width up to 2**63 - 1, the
-    others a few of them. A detector is left as fitted, rebuilt through the
+    One column holds a code of every decimal width up to ``digits`` (19:
+    up to 2**63 - 1), the others a few of them. A detector is left as fitted, rebuilt through the
     constructor with one more ranked cell accepted (still the count
     layout), rebuilt with Python or numpy codes and masses and no fit_rows
     (the explicit layout), or replaced by one read from a file whose counts
@@ -975,7 +984,7 @@ def written_models(draw):
     non-ASCII names and symbols.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    edges = np.array(DIGIT_EDGES, dtype=np.int64)
+    edges = np.array([x for x in DIGIT_EDGES if len(str(x)) <= digits], dtype=np.int64)
     n_attrs, n_rows = int(rng.integers(1, 5)), int(rng.integers(edges.size, 120))
     codes = np.stack([rng.choice(rng.choice(edges, size=int(rng.integers(1, 5))), size=n_rows)
                       for _ in range(n_attrs)], axis=1)
@@ -1050,3 +1059,144 @@ class TestModelWriter:
         assert [classify(loaded, row) for row in table.codes] == [
             classify(model, row) for row in table.codes]
         assert loaded.to_json() == model.to_json()
+
+
+def read_as_json_does(text):
+    """The reference reader: ``json.loads``, then ``from_json_dict``; a text
+    that is not JSON raises as ``from_json`` words it."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"model file is not JSON: {exc}") from exc
+    return EnsembleModel.from_json_dict(doc)
+
+
+def outcome(read, text):
+    """What a reader makes of a text: the model's bytes, views, arrays and
+    parameters, or the type and message of what it raised."""
+    try:
+        model = read(text)
+        return (model.to_json(), detector_fields(model), [d.fit_rows for d in model.detectors],
+                [(d._cells.dtype, d._counts is None) for d in model.detectors],
+                model.weights.tobytes(), model.rho, model.alpha,
+                model.preprocess and model.preprocess.to_json_dict())
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc), str(exc)
+
+
+# a count-layout array as the numpy reader finds it
+ARRAY = re.compile(r'"(?:cells|counts)":\[([0-9,]*)\]')
+# items past what the numpy reader parses (19 and 21 digits), and the widest it does
+LONG_ITEMS = ("999999999999999999", "1000000000000000000", str(2**63 - 1), str(10**20))
+TEXT_EDITS = ("leading-zero", "empty", "long-item", "nested", "duplicate", "forged", "nul",
+              "name-object", "truncate", "indent", "field-edit", "count-field-edit")
+
+
+def edited(draw, text: str, edit: str) -> str:
+    """The text with one drawn edit of kind ``edit``, or as it is where the
+    edit finds nothing to change."""
+    arrays = list(ARRAY.finditer(text))
+    full = [m for m in arrays if m[1]]
+    entries = [m.start() + 1 for m in re.finditer(r'\{"accepted"', text)]
+    if edit in ("leading-zero", "long-item") and full:
+        m = draw(st.sampled_from(full))
+        starts = [m.start(1)] + [m.start(1) + i + 1 for i, c in enumerate(m[1]) if c == ","]
+        at = draw(st.sampled_from(starts))
+        if edit == "leading-zero":
+            return text[:at] + "0" + text[at:]
+        end = text.find(",", at, m.end(1))
+        end = m.end(1) if end < 0 else end
+        return text[:at] + draw(st.sampled_from(LONG_ITEMS)) + text[end:]
+    if edit == "empty" and arrays:
+        m = draw(st.sampled_from(arrays))
+        return text[:m.start(1)] + text[m.end(1):]
+    if edit in ("nested", "duplicate") and entries:
+        at = draw(st.sampled_from(entries))
+        field = (draw(st.sampled_from(('"cells":[1,2],', '"counts":[3],', '"cells":[],')))
+                 if edit == "duplicate" else '"x":{"cells":[1,2]},')
+        return text[:at] + field + text[at:]
+    if edit == "forged":  # a placeholder string after a lifted array, so it is the one kept
+        counts = [m for m in re.finditer(r'"counts":\[[0-9,]*\]', text)]
+        if counts:
+            m = draw(st.sampled_from(counts))
+            return f'{text[:m.end()]},"cells":"\\u000{draw(st.integers(0, 3))}"{text[m.end():]}'
+    if edit == "nul":  # in a column name, or a key of the document
+        at = text.find('"name":"') + len('"name":"')
+        if draw(st.booleans()) and at >= len('"name":"'):
+            return text[:at] + "\\u0000" + text[at:]
+        return text.replace("{", '{"\\u0000":0,', 1)
+    if edit == "name-object":  # a column name that is an object holding 'cells'
+        return text.replace('"name":', '"name":{"cells":[1,2]},"was":', 1)
+    if edit == "truncate":
+        return text[:draw(st.integers(0, len(text)))]
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    if edit == "indent":
+        return json.dumps(doc, indent=draw(st.integers(0, 2)), sort_keys=draw(st.booleans()))
+    try:
+        if edit == "field-edit":
+            draw(st.sampled_from(FIELD_EDITS))[0](doc)
+        elif edit == "count-field-edit":
+            counted = [d for d in doc["detectors"] if isinstance(d, dict) and "counts" in d]
+            if counted:
+                draw(st.sampled_from(COUNT_FIELD_EDITS))[0](draw(st.sampled_from(counted)))
+    except (LookupError, TypeError, AttributeError):
+        pass  # an edit made for another document
+    return json.dumps(doc, separators=(",", ":"), sort_keys=draw(st.booleans()))
+
+
+@st.composite
+def model_texts(draw):
+    """A model file, fitted or built, then edited up to twice (``TEXT_EDITS``)."""
+    base = draw(st.sampled_from(("written", "parsed", "constructed", "pinned")))
+    if base == "written":
+        text = draw(written_models()).to_json()
+    elif base == "parsed":  # codes of at most 18 digits, which the numpy reader parses
+        text = draw(written_models(18)).to_json()
+    elif base == "constructed":
+        detectors = draw(st.lists(constructed_detectors(), min_size=1, max_size=3))
+        text = EnsembleModel(detectors, np.full(len(detectors), 0.5), rho=0.5,
+                             alpha=0.1).to_json()
+    else:
+        text = draw(st.sampled_from((PINNED_COUNT, PINNED_EXPLICIT)))
+    for edit in draw(st.lists(st.sampled_from(TEXT_EDITS), max_size=2)):
+        text = edited(draw, text, edit)
+    return text
+
+
+class TestModelReader:
+    @settings(max_examples=500)
+    @given(model_texts())
+    # a 'cells' array that is no detector's field, where the model keeps it
+    @example(text=PINNED_COUNT.replace('"rho"', '"preprocess":{"bins":2,"columns":[{"kind":'
+                                       '"categorical","mode":"a","name":{"cells":[1,2]},'
+                                       '"symbols":["a"]}]},"rho"'))
+    @example(text='{"alpha":0.1,"detectors":[{"accepted":[],"attrs":[0],"cells":[]}],'
+                  '"rho":0.5,"weights":[1.0]}\n')
+    @example(text=PINNED_COUNT.replace('"counts":[6,4,3]', '"counts":[06,4,3]'))
+    @example(text=PINNED_COUNT.replace('"counts":[6,4,3]', '"counts":[6,4,3],"cells":"\\u00000"'))
+    def test_a_text_reads_as_json_then_from_json_dict_read_it(self, text):
+        assert outcome(EnsembleModel.from_json, text) == outcome(read_as_json_does, text)
+
+    def test_a_fitted_model_file_leaves_json_only_the_rest(self):
+        t = random_table(np.random.default_rng(58), n_rows=200, n_attrs=4)
+        text = fit_ensemble(t, [(0, 1, 2), (1, 3)], alpha=0.05, seed=2).to_json()
+        with mock.patch.object(ensemble.json, "loads", wraps=json.loads) as loads:
+            loaded = EnsembleModel.from_json(text)
+        (remainder,), _ = loads.call_args
+        assert loads.call_count == 1 and ARRAY.search(remainder) is None
+        assert remainder.count('"\\u0000') == 2 * len(loaded.detectors)  # a placeholder each
+        assert loaded.to_json() == text
+
+    @pytest.mark.parametrize("run_chars", [1, 40, 1 << 16])
+    def test_items_are_read_as_decimal_writes_them_up_to_18_digits(self, run_chars):
+        a = np.array([x for x in DIGIT_EDGES if x < 10**18], dtype=np.int64)
+        with mock.patch.object(ensemble, "_PARSE_CHARS", run_chars):
+            arrays = ensemble._integers(
+                [ensemble._decimal(a), "", ensemble._decimal(a[::-1]), "0", "7,8"])
+            assert [x.tolist() for x in arrays] == [a.tolist(), [], a[::-1].tolist(), [0], [7, 8]]
+            assert all(x.dtype == np.int64 for x in arrays)
+            for body in ("01", "00", "1,,2", ",1", "1,", ",", "1" * 19):
+                assert ensemble._integers(["5", body, "6"]) is None

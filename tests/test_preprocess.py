@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -317,6 +317,8 @@ def column_models(draw, names, columns, kinds):
 class TestCodeCsv:
     @settings(max_examples=300)
     @given(csv_files(), st.sampled_from([1, 2, 3, 7, 2048]), st.data())
+    # a blank header line names no column; data is not drawn from
+    @example(case=("\n\n", ",", ("", "?"), False), block=1, data=None)
     def test_files_coded_for_a_model_take_its_column_kinds(self, case, block, data):
         text, delimiter, markers, _ = case
         with tempfile.TemporaryDirectory() as tmp, \
