@@ -229,8 +229,9 @@ def _counts_of(masses: np.ndarray, n) -> np.ndarray | None:
 def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetector:
     """Build the minimum-volume cell set for one subspace.
 
-    Cells are counted by ``np.unique`` over the joint key of the subspace
-    (``table._joint_key``) and read from their first rows, in tuple order.
+    Cells are counted by ``np.unique`` over the exact joint key of the
+    subspace (``table._joint_key``, renumbered only where a multiply could
+    pass 2^62) and read from their first rows, in tuple order.
     They are ranked by descending training mass (ties by tuple order)
     and accumulated until the mass reaches 1 - alpha; that prefix is the
     smallest acceptance region with type-I error at most alpha on the
@@ -240,7 +241,7 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
         raise ValueError("alpha must be in (0, 1)")
     subspace = validate_attrs(train, subspace)
     n = train.n_rows
-    key, _ = _joint_key(train.codes.T, train.arities, subspace, _KEYS_PER_ROW * n)
+    key, _ = _joint_key(train.codes.T, train.arities, subspace, _MAX_KEYS)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     # keys sort as the cells do, so a stable sort on -count ranks ties in tuple order
     order = np.argsort(-counts, kind="stable")
@@ -329,11 +330,8 @@ def _column_vote(detectors, weights, codes: np.ndarray) -> np.ndarray:
     by_attr = np.ascontiguousarray(codes.T)  # one copy, not a strided gather per detector
     scores = np.zeros(codes.shape[0])
     for d, w in zip(detectors, weights):
-        if w == 0.0:
-            continue
-        cells = d._accepted
-        if len(cells):
-            scores[_hits(cells, by_attr, d.subspace)] += w
+        if w != 0.0:
+            scores[_hits(d._accepted, by_attr, d.subspace)] += w
     return scores
 
 
@@ -809,11 +807,8 @@ def fit_ensemble(
 
     detectors = [fit_detector(fit_part, attrs, alpha) for attrs in attr_sets]
     # each detector's 0/1 vote on every validation row, from the table kernel's hit table
-    votes = np.zeros((len(detectors), val_idx.size))
-    for vote, d in zip(votes, detectors):
-        cells = d._accepted
-        if len(cells):
-            vote[_hits(cells, val_by_attr, d.subspace)] = 1.0
+    votes = np.array([_hits(d._accepted, val_by_attr, d.subspace) for d in detectors],
+                     dtype=np.float64)
     errors = 1.0 - votes.mean(axis=1)
     raw = 1.0 - errors
     total = raw.sum()

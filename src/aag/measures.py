@@ -43,31 +43,31 @@ densely by ``np.unique`` once at the end when its key space passes 4
 keys per row (and midway only where a multiply could pass 2^62). The key
 sorts as the code tuples do, so the nonzero counts come in lexicographic
 tuple order for every set, however it was renumbered, and log2(k) is read
-from a table of ``np.log2`` values. Two kernels count it. The entropy
-memo that ``PairCache`` and the measure functions read (``_Entropies``)
-fills the sets of two and three attributes a fan at a time: H(p + (z,))
-for every z > p[-1] of a prefix p, counted by one bincount over the keys
-of the run laid side by side, each set's nonzero counts one slice of the
-compacted counts; a fan holds at most ``_FAN_KEYS`` keys and counts, so
-over long tables it counts fewer sets at a time. Single attributes,
-larger sets, the public ``joint_entropy``, a set whose key space passes
-the budget and the sets of a prefix that was itself renumbered take the
-per-set kernel, ``_joint_entropy``. Both give the same bits: each set's
-counts come in the same order, and ``np.dot`` sums a slice as it sums an
-array of its own. ``induce_partition`` and detector fitting count the
-same key. A partition with one block has entropy exactly 0.0; the
-formula alone would round it to -4.4e-16 for some N.
+from a table of ``np.log2`` values. Two kernels count it. The ordered
+pass ``_set_entropies`` gives H of every set of 1..width of sorted
+attributes, one array per size in ``combinations`` order. It counts the
+sets of each prefix p a fan at a time: H(p + (z,)) for every z > p[-1]
+by one bincount over the run's keys laid side by side, each set's
+nonzero counts one slice of the compacted counts, at most ``_FAN_KEYS``
+keys and counts to a bincount. Single attributes, a set whose key space
+passes the budget, every set of a prefix that passes it, total
+correlation and the public functions of a few sets take the per-set
+kernel, ``_joint_entropy``. Both give the same bits: each set's counts
+come in the same order, and ``np.dot`` sums a slice as it sums an array
+of its own. ``induce_partition`` and detector fitting count the exact
+key. A partition with one block has entropy exactly 0.0; the formula
+alone would round it to -4.4e-16 for some N.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .table import _KEYS_PER_ROW, DiscreteTable, Partition, _joint_key, validate_attrs
+from .table import _KEYS_PER_ROW, _MAX_KEYS, DiscreteTable, Partition, _joint_key, validate_attrs
 
 
 def _log2_table(n: int) -> np.ndarray:
@@ -88,7 +88,7 @@ def induce_partition(table: DiscreteTable, attrs) -> Partition:
     on every attribute in ``attrs``. Block ids follow first-occurrence
     row order, so the result is byte-reproducible."""
     attrs = validate_attrs(table, attrs)
-    key, _ = _joint_key(table.codes.T, table.arities, attrs, _KEYS_PER_ROW * table.n_rows)
+    key, _ = _joint_key(table.codes.T, table.arities, attrs, _MAX_KEYS)
     _, first_row, inverse, counts = np.unique(
         key, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first_row)
@@ -120,8 +120,6 @@ def joint_entropy(table: DiscreteTable, attrs) -> float:
 # the most keys and counts one fan's bincount holds, unless it counts a
 # single set; a fan over long rows counts fewer sets at a time, down to one
 _FAN_KEYS = 1 << 20
-# the largest attribute set a fan counts
-_FAN_WIDTH = 3
 
 
 def _fan_runs(arities, first: int, size: int, n_rows: int):
@@ -160,8 +158,12 @@ def _fan_entropies(columns, key: np.ndarray, size: int, radix: np.ndarray, start
     keys += (ends - radix * size)[:, None]
     keys += columns[start:start + radix.size]
     counts = np.bincount(keys.ravel(), minlength=int(ends[-1]))
+    # freed once read, so the next arrays reuse their pages: kept to the return,
+    # they took fresh pages every fan (1.5 M page faults at 160 attributes)
+    del keys
     nonzero = np.flatnonzero(counts > 0)  # far cheaper than counts[counts > 0]
     c = counts.take(nonzero)
+    del counts
     cf, lg = c.astype(np.float64), log2_table.take(c)
     n = log2_table.size - 1
     log2_n = float(log2_table[n])
@@ -173,44 +175,39 @@ def _fan_entropies(columns, key: np.ndarray, size: int, radix: np.ndarray, start
     return out
 
 
+def _set_entropies(table: DiscreteTable, attrs, width: int):
+    """H of every set of 1..``width`` of the sorted ``attrs``: one float64
+    array per size, yielded in turn, in ``combinations`` order. A prefix's
+    sets come from its fans; a set whose key space passes the budget, and
+    every set of a prefix that passes it, from the per-set kernel."""
+    columns = np.ascontiguousarray(table.codes.T[list(attrs)])
+    arities = [table.arities[a] for a in attrs]
+    n, p = table.n_rows, len(arities)
+    log2_table, budget = _log2_table(n), _KEYS_PER_ROW * n
+    yield np.array([_joint_entropy(columns, arities, (i,), log2_table) for i in range(p)])
+    for k in range(2, width + 1):
+        out, at = np.empty(math.comb(p, k)), 0
+        # the sets of a prefix are the next run of combinations order
+        for prefix in combinations(range(p - 1), k - 1):
+            first = prefix[-1] + 1
+            fan, at = out[at:at + p - first], at + p - first
+            size = math.prod(arities[i] for i in prefix)
+            for z in range(first, p):
+                if size * arities[z] > budget:
+                    fan[z - first] = _joint_entropy(columns, arities, (*prefix, z), log2_table)
+            if size <= budget:  # else every set of the prefix is counted alone
+                key, _ = _joint_key(columns, arities, prefix, budget)
+                for start, stop in _fan_runs(arities, first, size, n):
+                    radix = np.array(arities[start:stop], dtype=np.int64)
+                    fan[start - first:stop - first] = _fan_entropies(
+                        columns, key, size, radix, start, log2_table)
+        yield out
+
+
 def _entropies(table: DiscreteTable):
-    """Memoized H of ``table``'s canonical attribute tuples; closes over the table only."""
-    return _Entropies(table).__getitem__
-
-
-class _Entropies(dict):
-    """H of a table's canonical attribute tuples, counted when a set is
-    first asked for. A set of two to ``_FAN_WIDTH`` attributes is counted
-    with its prefix's fan, every set that extends the prefix by a larger
-    attribute; single attributes, larger sets and the sets a fan leaves
-    out are counted one by one."""
-
-    def __init__(self, table: DiscreteTable):
-        super().__init__()
-        self.columns = np.ascontiguousarray(table.codes.T)
-        self.arities = table.arities
-        self.log2_table = _log2_table(table.n_rows)
-        self.fanned: set[tuple[int, ...]] = set()
-
-    def __missing__(self, attrs: tuple[int, ...]) -> float:
-        prefix = attrs[:-1]
-        if 1 < len(attrs) <= _FAN_WIDTH and prefix not in self.fanned:
-            self.fanned.add(prefix)
-            self._fill_fan(prefix)
-            return self[attrs]
-        h = self[attrs] = _joint_entropy(self.columns, self.arities, attrs, self.log2_table)
-        return h
-
-    def _fill_fan(self, prefix: tuple[int, ...]) -> None:
-        n = self.log2_table.size - 1
-        size = math.prod(self.arities[a] for a in prefix)
-        if size > _KEYS_PER_ROW * n:
-            return  # a renumbered prefix
-        key, _ = _joint_key(self.columns, self.arities, prefix, _KEYS_PER_ROW * n)
-        for start, stop in _fan_runs(self.arities, prefix[-1] + 1, size, n):
-            radix = np.array(self.arities[start:stop], dtype=np.int64)
-            h = _fan_entropies(self.columns, key, size, radix, start, self.log2_table)
-            self.update(zip([(*prefix, z) for z in range(start, stop)], h))
+    """H of a canonical attribute tuple of ``table`` by the per-set kernel, looked up per call."""
+    columns, log2_table = np.ascontiguousarray(table.codes.T), _log2_table(table.n_rows)
+    return lambda attrs: _joint_entropy(columns, table.arities, attrs, log2_table)
 
 
 def _union(a, b) -> tuple[int, ...]:
@@ -237,34 +234,32 @@ def _triple_m(hx, hy, hz, hxy, hxz, hyz, hxyz):
     return total + _interaction(hx, hy, hz, hxy, hxz, hyz, hxyz)
 
 
-def _subset_measures(h, attrs, width: int):
-    """(index, m, H) of every ``width``-subset S of the sorted ``attrs``,
-    ``width`` 2 or 3, in ``combinations`` order: ``index`` holds ``width``
-    vectors of S's positions in ``attrs``, ascending, then exact m(S) and
-    H(S) from the entropy function ``h``."""
-    k = len(attrs)
-    h1 = np.array([h((a,)) for a in attrs])
+def _subset_measures(h, width: int):
+    """(index, m, H) of every ``width``-subset S of k attributes, ``width``
+    2 or 3, in ``combinations`` order, from ``h``, the entropy arrays of
+    ``_set_entropies`` over them: ``index`` holds ``width`` vectors of S's
+    positions, ascending, then exact m(S) and H(S)."""
+    h1, h2, k = h[0], h[1], h[0].size
     x, y = np.triu_indices(k, 1)
-    h2 = np.array([h(s) for s in combinations(attrs, 2)])
     if width == 2:
         return (x, y), _rokhlin(h2, h1[x], h1[y]), h2
     pairs = np.zeros((k, k))
     pairs[x, y] = h2
     r = np.arange(k)
     x, y, z = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-    h3 = np.array([h(s) for s in combinations(attrs, 3)])
-    m = _triple_m(h1[x], h1[y], h1[z], pairs[x, y], pairs[x, z], pairs[y, z], h3)
-    return (x, y, z), m, h3
+    m = _triple_m(h1[x], h1[y], h1[z], pairs[x, y], pairs[x, z], pairs[y, z], h[2])
+    return (x, y, z), m, h[2]
 
 
-def _score_array(h, attrs, width: int) -> np.ndarray:
-    """m(S)/H(S) of every set S of ``width`` of ``attrs``, as a dense
-    array indexed by positions in ``attrs`` in every order. A set with
-    H(S) = 0.0 carries no information and a cell with a repeated position
-    is no set; both hold +inf, which no minimum picks over a finite score."""
-    index, m, h_s = _subset_measures(h, attrs, width)
+def _score_array(h, width: int) -> np.ndarray:
+    """m(S)/H(S) of every set S of ``width`` of the k attributes whose
+    entropy arrays are ``h``, as a dense array indexed by positions in
+    every order. A set with H(S) = 0.0 carries no information and a cell
+    with a repeated position is no set; both hold +inf, which no minimum
+    picks over a finite score."""
+    index, m, h_s = _subset_measures(h, width)
     score = np.divide(m, h_s, out=np.full(m.shape, np.inf), where=h_s != 0.0)
-    out = np.full((len(attrs),) * width, np.inf)
+    out = np.full((h[0].size,) * width, np.inf)
     for order in permutations(index):
         out[order] = score
     return out
@@ -352,7 +347,8 @@ def multi_attribute_measure(table: DiscreteTable, attrs, cap: int = 3) -> float:
         raise ValueError("multi-attribute measure needs at least two attributes")
     if cap not in (2, 3):
         raise ValueError("cap must be 2 or 3")
-    _, m, _ = _subset_measures(_entropies(table), attrs, min(cap, len(attrs)))
+    width = min(cap, len(attrs))
+    _, m, _ = _subset_measures(list(_set_entropies(table, attrs, width)), width)
     return float(m.min())
 
 
@@ -376,7 +372,8 @@ def normalized_measure(table: DiscreteTable, a, b, cap: int = 3) -> float:
     if cap not in (2, 3):
         raise ValueError("cap must be 2 or 3")
     position = {attr: i for i, attr in enumerate(union)}
-    return _normalized(partial(_score_array, _entropies(table), union),
+    h = list(_set_entropies(table, union, min(cap, len(union))))
+    return _normalized(partial(_score_array, h),
                        tuple(map(position.get, a)), tuple(map(position.get, b)), cap)
 
 
@@ -386,22 +383,24 @@ def total_correlation(table: DiscreteTable, attrs) -> float:
 
 
 class PairCache:
-    """The measure memos of one search over one table: joint entropies,
-    the score arrays of all its pairs and, for cap 3, triples of
-    attributes, and pair values keyed by the pair and ``cap``. Nothing is
-    validated: attribute sets must be sorted and duplicate-free, ``cap``
-    2 or 3. A cache serves the first table it is given only.
-    """
+    """The measure memos of one search over one table: the entropy and
+    score arrays of all its pairs and, for cap 3, triples of attributes,
+    each size counted once; pair values keyed by the pair and ``cap``; the
+    entropies total correlation reads. Nothing is validated: attribute
+    sets must be sorted and duplicate-free, ``cap`` 2 or 3. A cache serves
+    the first table it is given only."""
 
     def __init__(self):
         self._table: DiscreteTable | None = None
         self._pairs: dict[tuple, float] = {}
+        self._h: list[np.ndarray] = []
         self._scores: dict[int, np.ndarray] = {}
 
     def _bind(self, table: DiscreteTable) -> None:
         if self._table is None:
             self._table = table
-            self._entropy = _entropies(table)
+            self._sizes = _set_entropies(table, range(table.n_attrs), 3)  # 3, the largest cap
+            self._entropy = cache(_entropies(table))
         elif table is not self._table:
             raise ValueError("a PairCache serves one table")
 
@@ -409,8 +408,9 @@ class PairCache:
         """The score array of every set of ``width`` attributes, made once."""
         scores = self._scores.get(width)
         if scores is None:
-            attrs = range(self._table.n_attrs)
-            scores = self._scores[width] = _score_array(self._entropy, attrs, width)
+            while len(self._h) < width:
+                self._h.append(next(self._sizes))
+            scores = self._scores[width] = _score_array(self._h, width)
         return scores
 
     def measure(self, table: DiscreteTable, a, b, cap: int) -> float:

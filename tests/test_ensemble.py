@@ -143,6 +143,24 @@ class TestFitEnsemble:
             fpr = labels.count("anomaly") / val.n_rows
             assert fpr <= 0.05 + 1.0 / val.n_rows + 1e-12
 
+    @pytest.mark.parametrize("fit_rows", [None, 4])
+    def test_detector_accepting_nothing_votes_zero(self, fit_rows):
+        # built through the constructor, in the mass and the count layout
+        empty = SubspaceDetector((0, 1), {(0, 0): 0.5, (1, 1): 0.5}, set(), 0.05, fit_rows)
+        assert (empty._counts is None) == (fit_rows is None)
+        rows = np.array([[0, 0], [1, 1], [0, 1]])
+        assert [detector_predict(empty, row) for row in rows] == [0, 0, 0]
+        assert ensemble._column_vote([empty], [1.0], rows).tolist() == [0.0, 0.0, 0.0]
+        # calibration: no validation row hits it, so its weight is 0.0
+        t = random_table(np.random.default_rng(54), n_rows=40, n_attrs=3)
+
+        def fit(train, subspace, alpha, _original=fit_detector):
+            return empty if tuple(subspace) == (0, 1) else _original(train, subspace, alpha)
+        with mock.patch.object(ensemble, "fit_detector", fit):
+            model = fit_ensemble(t, [(0, 1), (2,)], seed=4)
+        assert model.detectors[0] is empty
+        assert model.weights.tolist() == [0.0, 1.0]
+
     def test_a_model_without_detectors_is_refused(self):
         with pytest.raises(ValueError, match="at least one detector"):
             EnsembleModel([], np.array([]), rho=0.5, alpha=0.05)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
 from itertools import combinations, permutations
@@ -662,6 +663,23 @@ class TestCountingKernel:
         assert h == oracles.sort_path_entropy(t, attrs)
         assert h == pytest.approx(oracles.entropy_of(t, attrs), abs=1e-9)
 
+    @pytest.mark.parametrize("arities, n_rows", [((7, 7), 10), ((7,) * 12, 30)])
+    def test_partitions_and_detectors_count_the_exact_key(self, arities, n_rows):
+        # a key space past 4 N but below 2^62 is counted as it is, never renumbered
+        rng = np.random.default_rng(28)
+        codes = rng.integers(0, arities, size=(n_rows, len(arities)))
+        codes[0] = np.asarray(arities) - 1
+        t = DiscreteTable(codes)
+        attrs = tuple(range(t.n_attrs))
+        assert 4 * n_rows < key_space(t, attrs) < 2**62
+        with renumberings() as calls:
+            part = induce_partition(t, attrs)
+            detector = fit_detector(t, attrs, 0.3)
+        assert calls == []
+        assert part.blocks() == oracles.group_rows_by_tuple(t, attrs)
+        assert (detector.cell_mass, detector.accepted_cells) == oracles.detector_cells_of(
+            t, attrs, 0.3)
+
     @pytest.mark.parametrize("huge_column", [0, 1])
     def test_huge_code_is_renumbered_instead_of_overflowing_the_key(self, huge_column):
         rows = np.array([[0, 0], [2**62, 0], [0, 1], [2**62, 1], [0, 3]] * 3)
@@ -737,26 +755,54 @@ def bincounts():
         yield calls
 
 
+@contextmanager
+def fanned_sets():
+    """How many sets each fan call counts inside the block."""
+    calls = []
+
+    def spy(columns, key, size, radix, start, log2_table, _original=measures._fan_entropies):
+        calls.append(radix.size)
+        return _original(columns, key, size, radix, start, log2_table)
+    with mock.patch.object(measures, "_fan_entropies", spy):
+        yield calls
+
+
 def key_space(table, attrs):
     return math.prod(table.arities[a] for a in attrs)
 
 
+def set_entropies(table, attrs, width):
+    """The pass's arrays, as lists of floats, one per size."""
+    return [h.tolist() for h in measures._set_entropies(table, attrs, width)]
+
+
+def sort_path_entropies(table, attrs, width):
+    """The sort path's H of every set of 1..width of ``attrs``, one list per size."""
+    return [[oracles.sort_path_entropy(table, s) for s in combinations(attrs, k)]
+            for k in range(1, width + 1)]
+
+
 class TestEntropyFans:
     @settings(max_examples=30)
-    @given(fan_tables(), st.randoms(use_true_random=False))
-    def test_fans_match_sort_path_in_any_order(self, table, random):
-        sets = all_sets(table.n_attrs, 3)
-        random.shuffle(sets)
-        h = measures._entropies(table)
+    @given(fan_tables())
+    def test_fans_match_sort_path_in_any_order(self, table):
+        attrs = range(table.n_attrs)
         with per_set_counts() as counted_alone:
-            got = [h(s) for s in sets]
-        assert got == [oracles.sort_path_entropy(table, s) for s in sets]
+            got = set_entropies(table, attrs, 3)
+        assert got == sort_path_entropies(table, attrs, 3)
         # a fan counts every set of its prefix whose key space is within the
         # budget, so only single attributes and the sets past it are counted
         # one by one, each once
         budget = 4 * table.n_rows
         assert sorted(counted_alone) == sorted(
-            s for s in sets if len(s) == 1 or key_space(table, s) > budget)
+            s for s in all_sets(table.n_attrs, 3) if len(s) == 1 or key_space(table, s) > budget)
+
+    @settings(max_examples=30)
+    @given(fan_tables(), st.data())
+    def test_pass_over_an_attribute_subset_matches_sort_path(self, table, data):
+        attrs = sorted(data.draw(st.sets(st.integers(0, table.n_attrs - 1), min_size=1)))
+        width = data.draw(st.integers(1, 3))
+        assert set_entropies(table, attrs, width) == sort_path_entropies(table, attrs, width)
 
     @settings(max_examples=30)
     @given(fan_tables() | kernel_tables())
@@ -787,27 +833,78 @@ class TestEntropyFans:
         n_rows = 150_000  # six sets to a bincount
         rng = np.random.default_rng(21)
         t = DiscreteTable(rng.integers(0, [2, 3, 5, 7, 4, 6, 1, 3, 2], size=(n_rows, 9)))
-        sets = all_sets(t.n_attrs, 3)
-        h = measures._entropies(t)
+        p = t.n_attrs
         with bincounts() as calls:
-            got = [h(s) for s in sets]
-        assert got == [joint_entropy(t, s) for s in sets]
+            got = set_entropies(t, range(p), 3)
+        assert got == [[joint_entropy(t, s) for s in combinations(range(p), k)] for k in (1, 2, 3)]
         assert all(keys + bins <= measures._FAN_KEYS for keys, bins in calls)
         assert any(keys > n_rows for keys, _ in calls)
-        # more bincounts than fans that count a set: the longest fans split
-        fans = 1 + (t.n_attrs - 1) + math.comb(t.n_attrs - 1, 2)
-        assert len(calls) > fans
+        # more bincounts than single attributes and prefixes that extend:
+        # the longest fans split
+        assert len(calls) > p + (p - 1) + math.comb(p - 1, 2)
 
     def test_fan_past_the_key_bound_counts_one_set_at_a_time(self):
         rng = np.random.default_rng(22)
         t = DiscreteTable(rng.integers(0, [2, 3, 5, 7, 4, 6], size=(3_000, 6)))
         sets = all_sets(t.n_attrs, 3)
         with mock.patch.object(measures, "_FAN_KEYS", 3_000), bincounts() as calls:
-            h = measures._entropies(t)
-            got = [h(s) for s in sets]
-        assert got == [joint_entropy(t, s) for s in sets]
+            got = set_entropies(t, range(t.n_attrs), 3)
+        assert sum(got, []) == [joint_entropy(t, s) for s in sets]
         assert len(calls) == len(sets)
         assert all(keys == t.n_rows for keys, _ in calls)
+
+    def test_mutual_information_counts_only_its_own_sets(self):
+        rng = np.random.default_rng(25)
+        t = DiscreteTable(rng.integers(0, 3, size=(200, 40)))
+        with per_set_counts() as counted_alone, bincounts() as calls:
+            got = mutual_information(t, (3,), (17,))
+        assert sorted(counted_alone) == [(3,), (3, 17), (17,)]
+        assert [keys for keys, _ in calls] == [t.n_rows] * 3
+        assert got == pytest.approx(oracles.entropy_of(t, (3,)) + oracles.entropy_of(t, (17,))
+                                    - oracles.entropy_of(t, (3, 17)), abs=1e-9)
+
+    def test_one_cache_serves_cap_2_then_cap_3_counting_each_set_once(self):
+        rng = np.random.default_rng(26)
+        t = DiscreteTable(rng.integers(0, [2, 3, 4, 3, 2, 5, 3], size=(150, 7)))
+        ref = cache(partial(oracles.sort_path_entropy, t))
+        pairs = [((0,), (1,)), ((2,), (4, 5)), ((0, 3), (1, 6)), ((1, 2, 3), (4, 6))]
+        pair_cache = PairCache()
+        with per_set_counts() as counted_alone, fanned_sets() as fanned:
+            got = {cap: [pair_cache.measure(t, a, b, cap) for a, b in pairs] for cap in (2, 3)}
+        for cap in (2, 3):
+            assert got[cap] == [oracles.normalized_measure_by(ref, a, b, cap) for a, b in pairs]
+            assert got[cap] == [normalized_measure(t, a, b, cap) for a, b in pairs]
+        # the singles alone and every pair and triple in a fan, each once:
+        # the triples counted for cap 3 did not recount the pairs
+        p = t.n_attrs
+        assert sorted(counted_alone) == [(a,) for a in range(p)]
+        assert sum(fanned) == math.comb(p, 2) + math.comb(p, 3)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_search_counts_each_set_once(self, cap):
+        columns = grouped_columns(300, [4] * 10, noise=0.35, seed=23)
+        t = DiscreteTable(np.column_stack([np.argsort(np.argsort(c)) * 6 // 300 for c in columns]))
+        read_by_tc = []
+
+        def entropies(table, _original=measures._entropies):
+            h = _original(table)
+
+            def counted(attrs):
+                read_by_tc.append(attrs)
+                return h(attrs)
+            return counted
+        with per_set_counts() as counted_alone, fanned_sets() as fanned, \
+                mock.patch.object(measures, "_entropies", entropies):
+            got = run_aag(t, cap=cap)
+        assert got.to_json() == run_aag(t, cap=cap).to_json()
+        # total correlation's memo counts each set it reads once, alone
+        assert read_by_tc and len(set(read_by_tc)) == len(read_by_tc)
+        # the score arrays count the singles alone and every set of 2..cap
+        # attributes in a fan, each once
+        p = t.n_attrs
+        assert sorted((Counter(counted_alone) - Counter(read_by_tc)).elements()) == [
+            (a,) for a in range(p)]
+        assert sum(fanned) == sum(math.comb(p, k) for k in range(2, cap + 1))
 
     @pytest.mark.parametrize("cap", [2, 3])
     def test_search_events_match_the_oracle_scored_search(self, cap):

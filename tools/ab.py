@@ -122,13 +122,9 @@ def prepare(aag, inputs, out: Path, k: int, n_tables: int, seed: int) -> SimpleN
     t.text = aag.fit_ensemble(t.coded, t.subspaces, preprocess=t.pp).to_json()
     if t.text != Path(model_json).read_text(encoding="utf-8"):
         raise RuntimeError(f"{out}: the library phases do not rebuild aag train's model.json")
-    t.model = aag.EnsembleModel.from_json(t.text)  # one-row classify and the meaning check
-    # to_json and classify_table get a model as aag score reads it. Detectors
-    # are immutable arrays, so reading cell_mass or accepted_cells changes
-    # no path; in parent checkouts from before that, such a read (as the
-    # meaning check makes) or a one-row call moved a detector onto slower
-    # paths, so this separate copy is kept for them
-    t.read = aag.EnsembleModel.from_json(t.text)
+    # the model as aag score reads it: its detectors are immutable arrays, so
+    # the meaning check and one-row calls change no path the other phases time
+    t.model = aag.EnsembleModel.from_json(t.text)
     rng = np.random.default_rng([seed, 1, k])  # perfbench's classify sample
     take = SAMPLE // n_tables + (k < SAMPLE % n_tables)
     rows = rng.choice(t.coded_score.n_rows, size=min(take, t.coded_score.n_rows), replace=False)
@@ -153,13 +149,6 @@ def phases(t: SimpleNamespace) -> dict:
         aag.apply_preprocessor(pp, t.raw_train)
         aag.apply_preprocessor(pp, t.raw_score)
 
-    if hasattr(aag.preprocess, "code_csv"):
-        def read_score():
-            aag.preprocess.code_csv(t.pp, t.score_csv)
-    else:  # versions that type the whole file, then code it
-        def read_score():
-            aag.apply_preprocessor(t.pp, aag.preprocess.load_csv_for(t.pp, t.score_csv))
-
     def classify():
         model, call, fastest = t.model, aag.classify, t.fastest
         for i, row in enumerate(t.sample):
@@ -174,12 +163,13 @@ def phases(t: SimpleNamespace) -> dict:
         "load_score": lambda: aag.load_csv(t.score_csv),
         "preprocess": preprocess,
         "apply_score": lambda: aag.apply_preprocessor(t.pp, t.raw_score),
-        "read_score": read_score,  # what aag score does to read and code its file
+        # what aag score does to read and code its file
+        "read_score": lambda: aag.preprocess.code_csv(t.pp, t.score_csv),
         "run_aag": lambda: aag.run_aag(t.fit_rows),
         "fit_ensemble": lambda: aag.fit_ensemble(t.coded, t.subspaces, preprocess=t.pp),
-        "to_json": t.read.to_json,
+        "to_json": t.model.to_json,
         "from_json": lambda: aag.EnsembleModel.from_json(t.text),
-        "classify_table": lambda: aag.classify_table(t.read, t.coded_score),
+        "classify_table": lambda: aag.classify_table(t.model, t.coded_score),
         "classify": classify,
     }
 
