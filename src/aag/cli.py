@@ -7,21 +7,12 @@ parameters and any failure it raises comes from its input: an
 ``AagError``, an ``OSError``, or a ``ValueError`` the library raises when
 a table cannot be used (too few rows or attributes, an empty table).
 Each exits 2.
-
-A command runs with Python's cyclic garbage collector paused. The data a
-command builds (cell tuples, lists of codes, parsed JSON) holds no
-reference cycles, so reference counting frees all of it, yet the
-collector would rescan those objects over and over while they live and
-free nothing. ``main`` restores the collector's state on every exit. The
-pause covers the whole process, including other threads of a program that
-embeds ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import logging
 import sys
 import time
@@ -268,8 +259,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    collecting = gc.isenabled()
-    gc.disable()  # the commands build no cycles; see the module docstring
     try:
         return COMMANDS[args.command](args)
     except (AagError, OSError, ValueError) as exc:
@@ -280,9 +269,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # invariant violation; report and flag as internal
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

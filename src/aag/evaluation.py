@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -77,10 +78,17 @@ def _format_cell(column: RawColumn, value) -> str:
 
 
 def _write_raw_csv(table: RawTable, path) -> None:
-    lines = [",".join(table.names)]
-    for i in range(table.n_rows):
-        lines.append(",".join(_format_cell(c, c.values[i]) for c in table.columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``table`` as CSV, quoting only the cells that need it.
+
+    ``csv`` quotes a cell holding a line break only if its line terminator
+    holds that character, so a table with a carriage return in a cell ends
+    its lines with ``"\\r\\n"``; any other ends them with ``"\\n"``.
+    """
+    rows = [table.names]
+    rows += ([_format_cell(c, c.values[i]) for c in table.columns] for i in range(table.n_rows))
+    terminator = "\r\n" if any("\r" in cell for row in rows for cell in row) else "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator=terminator).writerows(rows)
 
 
 def _majority_value(column: RawColumn):

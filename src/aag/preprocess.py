@@ -464,31 +464,47 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _midpoint(a, b) -> float:
+    """The midpoint of finite ``a`` and ``b``: ``(a + b) / 2``, or, where
+    ``a + b`` passes the float range, ``a / 2 + b / 2``."""
+    a, b = float(a), float(b)  # Python floats round as float64 and overflow without a warning
+    mid = (a + b) / 2.0
+    return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of finite ``values``: ``values.mean()``, or, where its sum
+    passes the float range, a sum of ``values / n`` kept within the values'
+    range (that sum can round past the largest float)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+        if not math.isfinite(mean):
+            mean = np.clip(np.sum(values / values.size), values.min(), values.max())
+    return float(mean)
+
+
 def _equal_frequency_edges(values: np.ndarray, bins: int) -> list[float]:
     """Interior cut points between distinct sorted values.
 
-    With at most ``bins`` distinct values every value gets its own bin.
-    Otherwise cut after the distinct value whose cumulative count first
-    reaches each quantile boundary; duplicate cuts collapse, so heavy
-    duplication can yield fewer bins than requested.
+    With at most ``bins`` distinct values, cut between every two
+    neighbours. Otherwise cut after the distinct value whose cumulative
+    count first reaches each quantile boundary. Equal cuts collapse, so
+    heavy duplication, or neighbours too close for a midpoint between
+    them, can yield fewer bins than requested.
     """
     distinct, counts = np.unique(values, return_counts=True)
     m = distinct.size
-    if m <= 1:
-        return []
     if m <= bins:
-        return [float((distinct[i] + distinct[i + 1]) / 2.0) for i in range(m - 1)]
-    n = values.size
-    cumulative = np.cumsum(counts)
+        splits = range(m - 1)
+    else:
+        cumulative = np.cumsum(counts)
+        splits = (int(np.searchsorted(cumulative, k * values.size / bins)) for k in range(1, bins))
     edges: list[float] = []
-    for k in range(1, bins):
-        target = k * n / bins
-        split = int(np.searchsorted(cumulative, target))
-        if split >= m - 1:
-            continue
-        edge = float((distinct[split] + distinct[split + 1]) / 2.0)
-        if not edges or edge > edges[-1]:
-            edges.append(edge)
+    for split in splits:
+        if split < m - 1:
+            edge = _midpoint(distinct[split], distinct[split + 1])
+            if not edges or edge > edges[-1]:
+                edges.append(edge)
     return edges
 
 
@@ -511,7 +527,7 @@ def fit_preprocessor(train: RawTable, bins: int = 10) -> PreprocessModel:
                 raise UnusableColumnError(f"column {col.name!r} has no usable values")
             models.append(ColumnModel(
                 col.name, NUMERIC,
-                mean=float(present.mean()),
+                mean=_mean(present),
                 edges=_equal_frequency_edges(present, bins),
             ))
         else:

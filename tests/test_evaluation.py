@@ -5,6 +5,7 @@ import pytest
 
 from aag.errors import GenerationError, UndefinedStabilityError
 from aag.evaluation import (
+    BenchmarkSplit,
     f1_score,
     generate_setting1,
     generate_setting3,
@@ -222,3 +223,29 @@ class TestPersistence:
         split.save(tmp_path / "rt")
         loaded = load_csv(tmp_path / "rt" / "train.csv")
         assert np.array_equal(loaded.column("x").values, split.train.column("x").values)
+
+    @staticmethod
+    def saved_and_read_back(tmp_path, table):
+        BenchmarkSplit(table, table, np.zeros(table.n_rows, dtype=np.int64), {}).save(tmp_path)
+        return load_csv(tmp_path / "train.csv"), (tmp_path / "train.csv").read_bytes()
+
+    @pytest.mark.parametrize("symbol", ["a,b", 'say "hi"', "two\nlines", "carriage\rreturn"])
+    def test_symbols_that_need_quotes_round_trip(self, tmp_path, symbol):
+        table = RawTable([
+            RawColumn("c", CATEGORICAL, np.array([symbol, "plain", None], dtype=object)),
+            RawColumn("x,y", NUMERIC, np.array([1.5, np.nan, -2.0])),
+        ])
+        loaded, _ = self.saved_and_read_back(tmp_path, table)
+        assert loaded.names == ["c", "x,y"]
+        assert list(loaded.column("c").values) == [symbol, "plain", None]
+        assert np.array_equal(loaded.column("x,y").values, [1.5, np.nan, -2.0], equal_nan=True)
+
+    @pytest.mark.parametrize("kind, values", [
+        (CATEGORICAL, np.array(["p", None, "q"], dtype=object)),
+        (NUMERIC, np.array([1.0, np.nan, 3.0])),
+    ])
+    def test_a_missing_cell_of_a_one_column_table_round_trips(self, tmp_path, kind, values):
+        loaded, text = self.saved_and_read_back(tmp_path, RawTable([RawColumn("c", kind, values)]))
+        assert text.splitlines()[2] == b'""'  # not a blank line, which reads as no row
+        assert (loaded.n_rows, loaded.column("c").kind) == (3, kind)
+        assert self.saved_and_read_back(tmp_path / "again", loaded)[1] == text

@@ -472,6 +472,59 @@ class TestFitPreprocessor:
         with pytest.raises(ValueError):
             fit_preprocessor(numeric_table([1.0, 2.0]), bins=1)
 
+    def test_values_near_the_float_range_fit_finite_statistics(self):
+        model = fit_preprocessor(numeric_table([1.5e308, 1.7e308] * 30), bins=10)
+        col = model.columns[0]
+        assert (col.mean, col.edges) == (1.6e308, [1.6e308])
+        assert PreprocessModel.from_json(model.to_json()) == model
+
+    def test_neighbours_one_float_apart_fit_a_model_that_reads_back(self):
+        # 1 + u, 1 + 2u and 1 + 3u (u the float spacing at 1) have one midpoint
+        values = [1.0, 1.0000000000000002, 1.0000000000000004, 1.0000000000000007]
+        model = fit_preprocessor(numeric_table(values), bins=10)
+        assert model.columns[0].edges == [1.0, 1.0000000000000004]
+        assert PreprocessModel.from_json(model.to_json()) == model
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.integers(2, 12))
+    @example([1.7e308, 1.5e308, -1.7e308, 1e308], 2)
+    @example([1.7976931348623157e308] * 3, 2)
+    @example([1.0, 1.0000000000000002, 1.0000000000000004, 1.0000000000000007], 10)
+    def test_statistics_match_the_plain_expressions_wherever_those_are_finite(self, values,
+                                                                              bins):
+        present = np.asarray(values, dtype=np.float64)
+        mean = preprocess._mean(present)
+        edges = preprocess._equal_frequency_edges(present, bins)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain_mean = float(present.mean())
+            plain_edges = plain_equal_frequency_edges(present, bins)
+        assert all(map(np.isfinite, edges))
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        if np.isfinite(plain_mean):
+            assert np.float64(mean).tobytes() == np.float64(plain_mean).tobytes()
+        else:
+            assert present.min() <= mean <= present.max()
+        if all(map(np.isfinite, plain_edges)):
+            assert np.asarray(edges).tobytes() == np.asarray(plain_edges).tobytes()
+
+
+def plain_equal_frequency_edges(values, bins):
+    """The edges with ``(a + b) / 2.0`` midpoints, which overflow past the
+    float range: what ``_equal_frequency_edges`` computes wherever they do not."""
+    distinct, counts = np.unique(values, return_counts=True)
+    m = distinct.size
+    cumulative = np.cumsum(counts)
+    splits = (range(m - 1) if m <= bins else
+              [int(np.searchsorted(cumulative, k * values.size / bins)) for k in range(1, bins)])
+    edges = []
+    for split in splits:
+        if split < m - 1:
+            edge = float((distinct[split] + distinct[split + 1]) / 2.0)
+            if not edges or edge > edges[-1]:
+                edges.append(edge)
+    return edges
+
 
 class TestApplyPreprocessor:
     def test_edge_rule(self):

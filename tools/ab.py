@@ -1,4 +1,4 @@
-"""Compare two checkouts of aag in one process: outputs, phase times, collector time.
+"""Compare two checkouts of aag in one process: outputs, phase times, collector work.
 
     python3 tools/ab.py --parent ../parent --change . --seed 0 --output BENCH_label.json
     python3 tools/ab.py --parent ../parent --change . --workload wide-search --output ab.json
@@ -23,11 +23,13 @@ round trip`` if either side's bytes differ from the ``model.json`` its
 inputs with its own library (its model must be the bytes its ``aag
 train`` wrote) and ROUNDS rounds run every phase on every table on both
 sides back to back, the side that goes first alternating. The inputs
-are frozen out of the collector's view; library phases run with the
-collector on, and ``cli.main`` pauses it itself. Per workload and phase the report gives
-each side's median over rounds of the seconds summed over the tables and
-of the collector's seconds inside them (a ``gc.callbacks`` hook), and
-the median and IQR of the per-round change/parent ratio. One-row
+are frozen out of the collector's view, and every phase runs with the
+collector on unless that side's ``cli.main`` pauses it (checkouts before
+the pause was retired do). Per workload and phase the report gives each
+side's median over rounds of the seconds summed over the tables, of the
+collector's seconds inside them and, per generation, of the collections
+it ran there (a ``gc.callbacks`` hook), and the median and IQR of the
+per-round change/parent ratio. One-row
 ``classify`` keeps each sampled row's fastest call; p50 and p99 are
 taken per table and averaged over the tables, as the benchmark does.
 Counters (subspaces, detectors, cells, model bytes) are sums over each
@@ -83,13 +85,20 @@ def import_aag(src: Path):
 
 
 class CollectorClock:
-    """A ``gc.callbacks`` hook adding up the wall seconds of every collection."""
+    """A ``gc.callbacks`` hook adding up the wall seconds of every collection
+    and counting the collections of each generation."""
 
-    seconds = 0.0
-    _start = 0.0
+    def __init__(self) -> None:
+        self.reset()
+        self._start = 0.0
+
+    def reset(self) -> None:
+        self.seconds = 0.0
+        self.collections = [0] * len(gc.get_threshold())
 
     def __call__(self, phase: str, info: dict) -> None:
         if phase == "start":
+            self.collections[info["generation"]] += 1
             self._start = perf_counter()
         else:
             self.seconds += perf_counter() - self._start
@@ -200,29 +209,35 @@ def p50_p99(fastest: list[list[float]]) -> dict:
 
 def time_phases(calls: list[dict], clock: CollectorClock) -> dict:
     """ROUNDS rounds of every phase on every table; per phase, each side's
-    (seconds, collector seconds) per round, summed over the tables."""
+    (seconds, collector seconds, collections by generation) per round,
+    summed over the tables."""
     rounds = {name: {side: [] for side in SIDES} for name in calls[0]["parent"]}
     for r in range(ROUNDS):
         for name, per_side in rounds.items():
-            sums = {side: [0.0, 0.0] for side in SIDES}
+            sums = {side: [0.0, 0.0, [0] * len(clock.collections)] for side in SIDES}
             for k, table in enumerate(calls):
                 for side in SIDES if (r + k) % 2 == 0 else SIDES[::-1]:
                     gc.collect()  # the other side's garbage is not collected inside this call
-                    clock.seconds = 0.0
+                    clock.reset()
                     start = perf_counter()
                     table[side][name]()
                     sums[side][0] += perf_counter() - start
                     sums[side][1] += clock.seconds
+                    sums[side][2] = list(map(int.__add__, sums[side][2], clock.collections))
             for side in SIDES:
                 per_side[side].append(sums[side])
     return rounds
 
 
 def summary(per_side: dict) -> dict:
-    ratios = [c / p for (p, _), (c, _) in zip(per_side["parent"], per_side["change"])]
+    ratios = [c[0] / p[0] for p, c in zip(per_side["parent"], per_side["change"])]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
-    return {**{f"{side}_s": statistics.median(s for s, _ in per_side[side]) for side in SIDES},
-            **{f"{side}_gc_s": statistics.median(g for _, g in per_side[side]) for side in SIDES},
+    # per side: the rounds' seconds, collector seconds and collections by generation
+    rounds = {side: list(zip(*per_side[side])) for side in SIDES}
+    return {**{f"{side}_s": statistics.median(rounds[side][0]) for side in SIDES},
+            **{f"{side}_gc_s": statistics.median(rounds[side][1]) for side in SIDES},
+            **{f"{side}_gc_collections": [statistics.median_low(n) for n in zip(*rounds[side][2])]
+               for side in SIDES},
             "ratio": statistics.median(ratios), "ratio_iqr": q3 - q1}
 
 
