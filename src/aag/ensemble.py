@@ -10,20 +10,18 @@ order, which can differ from that sum in the last bit, so validation rows
 scored as ``classify_table`` scores them can exceed the cut; they do on 6
 of the 20 seed-0 benchmark tables.
 
-A detector is immutable int64 arrays: its cells, of shape [k, width],
-and its accepted cells. When the cells fit the model file's count layout
-(each mass ``count / fit_rows`` for an int count of at least 1, the
-counts summing to ``fit_rows`` below 2^53, and the accepted cells the
-prefix of the cells ranked by descending count, ties in tuple order), it
-holds them in that rank with their int64 counts, and the accepted cells
-are the ranked prefix; otherwise it holds their float64 masses, cells and
-accepted cells each in tuple order. ``fit_detector``, and the model
-reader for a count-layout entry already in that rank, build the counted
-arrays directly; the constructor takes a ``cell_mass`` dict and an
-``accepted_cells`` set and decides once which of the two it holds. The
-public ``cell_mass`` (a read-only mapping) and ``accepted_cells`` (a
-frozenset) are views, built from the arrays when first read and kept;
-neither can be assigned or changed.
+A detector is its training counts, held as immutable int64 arrays: its
+cells, of shape [k, width], ranked by descending count (ties in tuple
+order), their counts, which sum to ``fit_rows`` below 2^53, and the
+accepted cells, the first rows of the ranked cells. A cell's mass is
+``count / fit_rows``. ``fit_detector``, and the model reader, build the
+arrays directly; the constructor takes a ``cell_mass`` dict, an
+``accepted_cells`` set and ``fit_rows``, and raises ValueError unless
+each mass is ``count / fit_rows`` for an int count of at least 1, the
+counts summing to ``fit_rows``, and the accepted cells are a ranked
+prefix. The public ``cell_mass`` (a read-only mapping) and
+``accepted_cells`` (a frozenset) are views, built from the arrays when
+first read and kept; neither can be assigned or changed.
 
 Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
@@ -48,19 +46,20 @@ from multiple threads.
 
 ``model.json`` is one line of compact JSON with sorted keys: ``to_json``
 writes the document ``to_json_dict`` describes, byte for byte as
-``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` would. A
-detector that holds counts is written in the count layout, the arrays as
-they are: the cells' codes row by row in one flat list, their counts,
-and the length of the accepted prefix. Its masses are read back as
-``count / sum(counts)``, the division ``fit_detector`` makes, so they are
-the same floats. Only a detector built through the constructor whose
-cells do not fit the count layout holds masses; it is written in the
-explicit layout, ``[cell, mass]`` pairs and the list of accepted cells,
-which is also how earlier versions wrote every detector. Both layouts
-and earlier indented files load. The document holds the count layout's
-flat ``cells`` and ``counts`` as int64 arrays, which ``to_json`` renders
-as decimal text in numpy (``_decimal``) and ``to_json_dict`` lists;
-every other value goes through ``json``.
+``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` would. Each
+detector is written in the count layout, its arrays as they are: the
+cells' codes row by row in one flat list, their counts, and the length
+of the accepted prefix. Its masses are read back as ``count /
+sum(counts)``, the division ``fit_detector`` makes, so they are the same
+floats. The reader refuses what a detector cannot hold: cells not
+ranked as above, counts summing to 2^53 or more, a count its mass does
+not give back (as the constructor reads counts), and an entry of the
+explicit layout (``[cell, mass]`` pairs and a list of accepted cells),
+which versions before the count layout wrote and which is to be
+retrained. Earlier indented files of the count layout load. The
+document holds the flat ``cells`` and ``counts`` as int64 arrays, which
+``to_json`` renders as decimal text in numpy (``_decimal``) and
+``to_json_dict`` lists; every other value goes through ``json``.
 
 ``from_json`` reads a file exactly as ``from_json_dict(json.loads(text))``
 does (the same model, or the same exception and message) but parses
@@ -68,19 +67,17 @@ those arrays in numpy. It lifts each ``"cells":[...]`` and
 ``"counts":[...]`` of digits and commas out of the text, leaving a
 placeholder string; decodes the small remainder with ``json``; parses
 the lifted items as int64 (``_integers``); and puts each array back at
-its placeholder, where a count-layout entry takes it as it is and any
-other entry the list ``json`` would have read. The whole text goes
-through ``json`` instead when an item is empty, has a leading zero or
-more than 18 digits, when the text holds the placeholder's escape
-``\\u0000``, when a placeholder is not a detector entry's own ``cells``
-or ``counts`` field, and when the remainder is not JSON (so the error
-gives the line and column in the file).
+its placeholder. The whole text goes through ``json`` instead when an
+item is empty, has a leading zero or more than 18 digits, when the text
+holds the placeholder's escape ``\\u0000``, when a placeholder is not a
+detector entry's own ``cells`` or ``counts`` field, and when the
+remainder is not JSON (so the error gives the line and column in the
+file).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -100,76 +97,67 @@ ANOMALY = "anomaly"
 
 # the largest code a model file may hold: rows hold int64 codes
 _MAX_CODE = int(np.iinfo(np.int64).max)
-# the count layout holds fit row counts below this, which float64 holds exactly
+# a detector's counts sum to fit_rows below this, which float64 holds exactly
 _MAX_EXACT = 2**53
 _INTEGER = (int, np.integer)
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class SubspaceDetector:
-    """One subspace's cells with their training masses, and the accepted ones.
+    """One subspace's training cells with their counts, and the accepted ones.
 
     ``SubspaceDetector(subspace, cell_mass, accepted_cells, alpha,
-    fit_rows=None)`` turns a dict of masses and a set of accepted cells,
-    each cell a tuple of codes, into the arrays the module docstring
+    fit_rows)`` turns a dict of masses and a set of accepted cells, each
+    cell a tuple of codes, into the arrays the module docstring
     describes. It raises ValueError on what no model file can hold: an
     empty subspace or a negative attribute, a cell not of the subspace's
     width, a code that is not an integer in [0, 2^63) (``True`` is not
-    one), or a mass that is not a finite number.
+    one), masses that are not ``count / fit_rows`` for counts of at least
+    1 summing to ``fit_rows`` below 2^53, or accepted cells that are not
+    the cells of the highest counts, ties in tuple order.
     """
 
     subspace: tuple[int, ...]
     alpha: float
-    fit_rows: int | None  # the rows it was fitted on; each mass is count / fit_rows
-    # int64 [k, width]: ranked as the count layout ranks them when counts
-    # hold them, else in tuple order
+    fit_rows: int  # the rows it was fitted on; each mass is count / fit_rows
+    # int64 [k, width], ranked by descending count, ties in tuple order
     _cells: np.ndarray = field(repr=False)
-    _counts: np.ndarray | None = field(repr=False)  # int64, or None when masses hold the cells
-    _masses: np.ndarray | None = field(repr=False)  # float64, or None when counts hold them
-    # int64 [a, width]: the ranked prefix of _cells when counts hold them, else in tuple order
-    _accepted: np.ndarray = field(repr=False)
+    _counts: np.ndarray = field(repr=False)  # int64 [k]
+    _accepted: np.ndarray = field(repr=False)  # int64 [a, width]: the first a rows of _cells
 
-    def __init__(self, subspace, cell_mass, accepted_cells, alpha: float, fit_rows=None):
+    def __init__(self, subspace, cell_mass, accepted_cells, alpha: float, fit_rows: int):
         subspace = tuple(subspace)
         if not subspace or not _only(subspace, *_INTEGER) or min(subspace) < 0:
             raise ValueError("subspace must be a non-empty tuple of attribute indices")
         cells = _code_array(list(cell_mass), len(subspace))
         accepted = _code_array(list(set(accepted_cells)), len(subspace))
-        accepted = accepted[_tuple_order(accepted)]
-        masses = _mass_array(list(cell_mass.values()))
-        counts = _counts_of(masses, fit_rows)
-        if counts is not None:
-            rank = np.lexsort((*cells.T[::-1], -counts))  # the last key sorts first
-            prefix = cells[rank[:len(accepted)]]
-            if np.array_equal(prefix[_tuple_order(prefix)], accepted):
-                ranked = cells[rank]
-                self._hold(subspace, alpha, int(fit_rows), ranked, counts[rank], None,
-                           ranked[:len(accepted)])
-                return
-        order = _tuple_order(cells)
-        self._hold(subspace, alpha, fit_rows, cells[order], None, masses[order], accepted)
+        counts = _counts_of(list(cell_mass.values()), fit_rows)
+        rank = np.lexsort((*cells.T[::-1], -counts))  # the last key sorts first
+        cells, prefix = cells[rank], cells[rank[:len(accepted)]]
+        if not np.array_equal(prefix[_tuple_order(prefix)], accepted[_tuple_order(accepted)]):
+            raise ValueError("the accepted cells must be the cells of the highest counts, "
+                             "ties in tuple order")
+        self._hold(subspace, alpha, int(fit_rows), cells, counts[rank], len(accepted))
 
-    def _hold(self, subspace, alpha, fit_rows, cells, counts, masses, accepted) -> None:
+    def _hold(self, subspace, alpha, fit_rows, cells, counts, k) -> None:
         # the fields are set once, here: the dataclass is frozen
         self.__dict__.update(subspace=subspace, alpha=alpha, fit_rows=fit_rows, _cells=cells,
-                             _counts=counts, _masses=masses, _accepted=accepted)
+                             _counts=counts, _accepted=cells[:k])
 
     @classmethod
-    def _of_ranked(cls, subspace: tuple[int, ...], alpha: float, cells: np.ndarray,
-                   counts: np.ndarray, k: int) -> "SubspaceDetector":
-        """A detector of cells in the count layout's rank, with their counts
-        and the length of the accepted prefix."""
+    def _of_ranked(cls, subspace: tuple[int, ...], alpha: float, fit_rows: int,
+                   cells: np.ndarray, counts: np.ndarray, k: int) -> "SubspaceDetector":
+        """A detector of cells in rank, with their counts, which sum to
+        ``fit_rows``, and the length of the accepted prefix."""
         d = cls.__new__(cls)
-        d._hold(subspace, alpha, int(counts.sum()), cells, counts, None, cells[:k])
+        d._hold(subspace, alpha, fit_rows, cells, counts, k)
         return d
 
     @cached_property
     def cell_mass(self) -> MappingProxyType:
         """Each cell's training mass, keyed by the cell's tuple of codes; read-only."""
-        if self._counts is None:
-            masses = self._masses.tolist()
-        else:  # Python's int / int: the floats fit_detector's counts stand for
-            masses = [c / self.fit_rows for c in self._counts.tolist()]
+        # Python's int / int: the floats fit_detector's counts stand for
+        masses = [c / self.fit_rows for c in self._counts.tolist()]
         return MappingProxyType(dict(zip(map(tuple, self._cells.tolist()), masses)))
 
     @cached_property
@@ -180,8 +168,10 @@ class SubspaceDetector:
     def __eq__(self, other):
         if not isinstance(other, SubspaceDetector):
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in ("subspace", "alpha", "fit_rows", "cell_mass", "accepted_cells"))
+        return ((self.subspace, self.alpha, self.fit_rows)
+                == (other.subspace, other.alpha, other.fit_rows)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("_cells", "_counts", "_accepted")))
 
 
 def _code_array(cells: list, width: int) -> np.ndarray:
@@ -194,35 +184,40 @@ def _code_array(cells: list, width: int) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(len(cells), width)
 
 
-def _mass_array(masses: list) -> np.ndarray:
-    """Cell masses, each a finite int or float (numpy's too), as float64."""
-    try:
-        finite = (_only(masses, int, float, np.integer, np.floating)
-                  and all(map(math.isfinite, masses)))
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise ValueError("every cell mass must be a finite number")
-    return np.array(masses, dtype=np.float64)
-
-
 def _tuple_order(cells: np.ndarray) -> np.ndarray:
     """The order that sorts int64 rows of codes as their tuples sort."""
     return np.lexsort(cells.T[::-1])
 
 
-def _counts_of(masses: np.ndarray, n) -> np.ndarray | None:
+def _exact_sum(counts: np.ndarray) -> int | None:
+    """The sum of int64 counts in [1, 2^62), or None if it reaches 2^53:
+    the running sum passes 2^53 before it could wrap int64."""
+    if not counts.size:
+        return 0
+    running = np.cumsum(counts)
+    return int(running[-1]) if running.max() < _MAX_EXACT else None
+
+
+def _counts_of(masses: list, n) -> np.ndarray:
     """The int64 counts whose masses ``count / n`` are ``masses``, each at
-    least 1 and summing to ``n`` below 2^53; None if there are none."""
-    if n is None or not 0 < n < _MAX_EXACT or not ((0 < masses) & (masses <= 1)).all():
-        return None
+    least 1 and summing to ``n`` below 2^53; ValueError if there are none."""
+    bad = ValueError("every cell mass must be count / fit_rows for an integer count of "
+                     "at least 1, the counts summing to fit_rows below 2^53")
+    if not (_only([n], *_INTEGER) and _only(masses, int, float, np.integer, np.floating)):
+        raise bad
+    try:
+        masses = np.array(masses, dtype=np.float64)
+    except OverflowError:  # an int too large for a float
+        raise bad from None
+    if not 0 <= n < _MAX_EXACT or not ((0 < masses) & (masses <= 1)).all():
+        raise bad
     counts = np.rint(masses * n)
     if not (counts >= 1).all():
-        return None
+        raise bad
     # int64 / int divides as Python's int / int does below 2^53: the masses fit_detector made
     counts = counts.astype(np.int64)
-    if counts.sum() != n or not np.array_equal(counts / n, masses):
-        return None
+    if _exact_sum(counts) != n or not np.array_equal(counts / n, masses):
+        raise bad
     return counts
 
 
@@ -249,7 +244,7 @@ def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetect
     covered_before = np.cumsum(counts) - counts
     n_accepted = int(np.count_nonzero(covered_before < (1.0 - alpha) * n - 1e-9))
     cells = train.codes[first[order][:, None], subspace]
-    return SubspaceDetector._of_ranked(subspace, alpha, cells, counts, n_accepted)
+    return SubspaceDetector._of_ranked(subspace, alpha, n, cells, counts, n_accepted)
 
 
 def _cell_getter(subspace) -> Callable[[list], tuple]:
@@ -363,16 +358,6 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
-def _code_row(row, width: int, what: str) -> tuple[int, ...]:
-    """One cell of a model file as a tuple, checked to hold ``width`` int64 codes >= 0."""
-    if type(row) is not list or len(row) != width:
-        raise SchemaError(f"{what} must hold lists of {width} codes")
-    for code in row:
-        if type(code) is not int or not 0 <= code <= _MAX_CODE:
-            raise SchemaError(f"{what} must hold lists of {width} codes")
-    return tuple(row)
-
-
 def _int64(values: list) -> np.ndarray | None:
     """A model file's list of integers as int64; None if an item is not an
     int (``True`` is not one) or falls outside int64."""
@@ -385,38 +370,41 @@ def _int64(values: list) -> np.ndarray | None:
 
 
 def _count_array(d, name: str, where: str, arrays: bool):
-    """A count-layout field: an int64 array the reader lifted (when
+    """A detector entry's field: an int64 array the reader lifted (when
     ``arrays``), or the list it must otherwise be."""
     if arrays and type(d.get(name)) is np.ndarray:
         return d[name]
     return _require(d, name, list, where)
 
 
-def _counted_detector(d, attrs: tuple[int, ...], alpha: float, where: str,
-                      arrays: bool = False) -> SubspaceDetector:
-    """A count-layout detector: its arrays as read when they are as the
-    constructor would hold them (ranked, each count read back from its
-    mass, summing to below 2^53); otherwise the constructor's, each mass
-    ``count / sum(counts)``. Its ``cells`` and ``counts`` are lists, or
-    int64 arrays of codes in [0, 10^18) that ``from_json`` lifted from
-    the text."""
+def _detector_from_json(d, i: int, alpha: float, arrays: bool = False) -> SubspaceDetector:
+    """One detector entry of a model file, its arrays checked in one pass
+    each. Its ``cells`` and ``counts`` are lists, or (``arrays``) int64
+    arrays of codes in [0, 10^18) that ``from_json`` lifted from the text."""
+    where = f"model detector {i}"
+    attrs = _require(d, "attrs", list, where)
+    if not attrs or not _only(attrs, int) or min(attrs) < 0:
+        raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
+    if "counts" not in d and type(d.get("accepted")) is list:
+        raise SchemaError(f"{where} is in the explicit layout of [cell, mass] pairs, which "
+                          "this version no longer reads; retrain the model with 'aag train'")
     width = len(attrs)
     cells = _count_array(d, "cells", where, arrays)
     counts = _count_array(d, "counts", where, arrays)
     k = _require(d, "accepted", int, where)
     bad_counts = SchemaError(f"{where} field 'counts' must hold integers of at least 1")
+    too_many = SchemaError(f"{where} field 'counts' must sum to below 2^53")
     if isinstance(counts, list):
         if not _only(counts, int) or (counts and min(counts) < 1):
             raise bad_counts
-        held = _int64(counts)  # None when a count passes int64
-        n = sum(counts)
-    else:
-        held = counts
-        if held.size and held.min() < 1:
-            raise bad_counts
-        # a sum that could pass int64 is taken over Python's ints
-        n = (sum(held.tolist()) if held.size and held.max() > _MAX_CODE // held.size
-             else int(held.sum()))
+        if counts and max(counts) >= _MAX_EXACT:  # a count that may not fit int64
+            raise too_many
+        counts = np.array(counts, dtype=np.int64)
+    elif counts.size and counts.min() < 1:
+        raise bad_counts
+    n = _exact_sum(counts)  # each count is below 2^53 or, lifted, 10^18
+    if n is None:
+        raise too_many
     bad_cells = SchemaError(f"{where} field 'cells' must hold {width} codes in [0, 2^63) "
                             f"for each of the {len(counts)} counts")
     if len(cells) != width * len(counts):
@@ -432,15 +420,15 @@ def _counted_detector(d, attrs: tuple[int, ...], alpha: float, where: str,
     in_order = np.sort(key)
     if (in_order[1:] == in_order[:-1]).any():
         raise SchemaError(f"{where} field 'cells' lists a cell twice")
-    if 0 < n < _MAX_EXACT:
-        step = held[1:] - held[:-1]
-        # by descending count, ties in increasing tuple order, as _counts_of reads them back
-        if ((step <= 0).all() and ((step < 0) | (key[1:] > key[:-1])).all()
-                and np.array_equal(np.rint(held / n * n), held)):
-            return SubspaceDetector._of_ranked(attrs, alpha, codes, held, k)
-    keys = list(map(tuple, codes.tolist()))
-    masses = [c / n for c in (counts if held is None else held.tolist())]
-    return SubspaceDetector(attrs, dict(zip(keys, masses)), keys[:k], alpha, n)
+    step = counts[1:] - counts[:-1]
+    if not ((step <= 0) & ((step < 0) | (key[1:] > key[:-1]))).all():
+        raise SchemaError(f"{where} field 'cells' must be ranked by descending count, "
+                          "ties in tuple order")
+    # as the constructor reads each count back from its mass
+    if not np.array_equal(np.rint(counts / n * n), counts):
+        raise SchemaError(f"{where} field 'counts' holds a count that its mass "
+                          f"count / {n} does not give back")
+    return SubspaceDetector._of_ranked(tuple(attrs), alpha, n, codes, counts, k)
 
 
 def _cell_keys(codes: np.ndarray) -> np.ndarray:
@@ -454,75 +442,16 @@ def _cell_keys(codes: np.ndarray) -> np.ndarray:
     return _joint_key(columns, arities, range(len(columns)), _MAX_KEYS)[0]
 
 
-def _listed_cells(d, width: int, where: str):
-    """The cells of an explicit-layout detector: (cell_mass, accepted_cells)."""
-    cells = _require(d, "cells", list, where)
-    accepted = _require(d, "accepted", list, where)
-    in_cells, in_accepted = f"{where} field 'cells'", f"{where} field 'accepted'"
-    cell_mass = {}
-    try:
-        for cell in cells:
-            if type(cell) is not list or len(cell) != 2:
-                raise SchemaError(f"{in_cells} must hold [cell, mass] pairs")
-            key, mass = cell
-            if type(mass) is not float and type(mass) is not int:
-                raise SchemaError(f"{in_cells} must hold numeric masses")
-            cell_mass[_code_row(key, width, in_cells)] = float(mass)
-        # checked in one pass: a call per cell slows a model read by about 5 %
-        finite = all(map(math.isfinite, cell_mass.values()))
-    except OverflowError:  # an int mass too large for a float
-        finite = False
-    if not finite:
-        raise SchemaError(f"{in_cells} must hold finite masses")
-    if len(cell_mass) != len(cells):
-        raise SchemaError(f"{in_cells} lists a cell twice")
-    accepted_cells = {_code_row(key, width, in_accepted) for key in accepted}
-    if len(accepted_cells) != len(accepted):
-        raise SchemaError(f"{in_accepted} lists a cell twice")
-    return cell_mass, accepted_cells
-
-
-def _counted(d: dict) -> bool:
-    """Whether a detector entry is in the count layout: it has 'counts' or an
-    int 'accepted', so a count-layout entry missing either field is refused
-    naming it."""
-    return "counts" in d or type(d.get("accepted")) is int
-
-
-def _detector_from_json(d, i: int, alpha: float, arrays: bool = False) -> SubspaceDetector:
-    """One detector of a model file in either layout, its cells checked in
-    one pass each; ``arrays``: a count-layout entry may hold lifted arrays."""
-    where = f"model detector {i}"
-    attrs = _require(d, "attrs", list, where)
-    if not attrs or not _only(attrs, int) or min(attrs) < 0:
-        raise SchemaError(f"{where} field 'attrs' must be a non-empty list of attribute indices")
-    if _counted(d):
-        return _counted_detector(d, tuple(attrs), alpha, where, arrays)
-    cell_mass, accepted_cells = _listed_cells(d, len(attrs), where)
-    return SubspaceDetector(tuple(attrs), cell_mass, accepted_cells, alpha)
-
-
 def _plain(value):
     """A numpy scalar as the Python int or float it holds, which ``json``
     writes; any other value as it is."""
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _plain_list(values) -> list:
-    return list(map(_plain, values))
-
-
 def _entry(d: SubspaceDetector) -> dict:
-    """The detector in the count layout, its arrays as they are, when
-    counts hold its cells; else in the explicit layout, ``[cell, mass]``
-    pairs and its accepted cells, each in tuple order."""
-    attrs = _plain_list(d.subspace)
-    if d._counts is not None:
-        return {"attrs": attrs, "cells": d._cells.ravel(), "counts": d._counts,
-                "accepted": len(d._accepted)}
-    masses = d._masses.tolist()
-    return {"attrs": attrs, "cells": [[cell, m] for cell, m in zip(d._cells.tolist(), masses)],
-            "accepted": d._accepted.tolist()}
+    """The detector in the count layout, its arrays as they are."""
+    return {"attrs": list(map(_plain, d.subspace)), "cells": d._cells.ravel(),
+            "counts": d._counts, "accepted": len(d._accepted)}
 
 
 def _decimal(a: np.ndarray) -> str:
@@ -555,7 +484,7 @@ def _render(doc: dict) -> str:
     """A model document as ``json.dumps(doc, separators=(",", ":"),
     sort_keys=True)`` writes it once its int64 arrays are lists: the arrays
     of the detector entries go through ``_decimal``, every other value
-    (``preprocess`` and explicit layouts too) through ``json``."""
+    (``preprocess`` too) through ``json``."""
     parts = {k: _ENCODE(v) for k, v in doc.items() if k != "detectors"}
     parts["detectors"] = "[" + ",".join(
         _object({k: f"[{_decimal(v)}]" if isinstance(v, np.ndarray) else _ENCODE(v)
@@ -634,10 +563,9 @@ def _parsed(bodies: list[str]) -> list[np.ndarray] | None:
 
 
 def _put_back(doc, arrays: list[np.ndarray]) -> bool:
-    """Puts each lifted array back where its placeholder was decoded: an
-    int64 array in a count-layout entry, the list ``json`` would have
-    read in any other. True if every placeholder was a detector entry's
-    own 'cells' or 'counts' field."""
+    """Puts each lifted int64 array back where its placeholder was
+    decoded. True if every placeholder was a detector entry's own 'cells'
+    or 'counts' field."""
     if not arrays:
         return True
     entries = doc.get("detectors") if isinstance(doc, dict) else None
@@ -647,12 +575,10 @@ def _put_back(doc, arrays: list[np.ndarray]) -> bool:
     for d in entries:
         if not isinstance(d, dict):
             continue
-        counted = _counted(d)
         for name in ("cells", "counts"):
             value = d.get(name)
             if type(value) is str and value.startswith("\0"):
-                array = arrays[int(value[1:])]
-                d[name] = array if counted else array.tolist()
+                d[name] = arrays[int(value[1:])]
                 found += 1
     # each placeholder is decoded at most once, so all were put back
     return found == len(arrays)
@@ -682,8 +608,7 @@ class EnsembleModel:
         return _vote(self._layout, row)
 
     def _document(self) -> dict:
-        """The model document, each detector in the count layout when its
-        cells fit it, that layout's ``cells`` and ``counts`` as int64 arrays."""
+        """The model document, each detector's ``cells`` and ``counts`` as int64 arrays."""
         doc = {
             "alpha": _plain(self.alpha),
             "rho": _plain(self.rho),
@@ -695,17 +620,16 @@ class EnsembleModel:
         return doc
 
     def to_json_dict(self) -> dict:
-        """The model document; each detector in the count layout when its cells fit it."""
+        """The model document, each detector in the count layout."""
         doc = self._document()
         for entry in doc["detectors"]:
-            if "counts" in entry:
-                entry["cells"], entry["counts"] = entry["cells"].tolist(), entry["counts"].tolist()
+            entry["cells"], entry["counts"] = entry["cells"].tolist(), entry["counts"].tolist()
         return doc
 
     def to_json(self) -> str:
         """``model.json``: ``json.dumps(self.to_json_dict(), separators=(",", ":"),
-        sort_keys=True) + "\\n"``, byte for byte, its count-layout lists
-        written from the arrays."""
+        sort_keys=True) + "\\n"``, byte for byte, its ``cells`` and
+        ``counts`` lists written from the arrays."""
         return _render(self._document()) + "\n"
 
     @classmethod
@@ -715,7 +639,7 @@ class EnsembleModel:
 
     @classmethod
     def _of_document(cls, doc, arrays: bool = False) -> "EnsembleModel":
-        """``from_json_dict``; ``arrays``: count-layout entries may hold lifted arrays."""
+        """``from_json_dict``; ``arrays``: detector entries may hold lifted arrays."""
         entries = _require(doc, "detectors", list, "model")
         weights = _require(doc, "weights", list, "model")
         rho = _finite(_require(doc, "rho", (int, float), "model"), "model field 'rho'")

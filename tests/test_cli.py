@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ from aag import cli
 from aag.cli import main
 
 from synth import grouped_csv_text, two_class_csv_text
+from test_ensemble import PINNED_EXPLICIT
 
 
 @pytest.fixture()
@@ -203,6 +203,17 @@ class TestTrainAndScore:
         err = capsys.readouterr().err
         assert "'detectors'" in err
         assert "internal error" not in err
+
+    def test_explicit_layout_model_exits_2_saying_to_retrain(self, tmp_path, grouped_csv,
+                                                             capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(PINNED_EXPLICIT, encoding="utf-8")
+        code = run("score", "--input", grouped_csv, "--model", model_path,
+                   "--output", tmp_path / "s.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "detector 0 is in the explicit layout" in err and "retrain" in err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestBench:
@@ -404,19 +415,26 @@ def test_a_mutated_csv_exits_0_or_2_from_every_command(fault_dir, text):
         assert code in (0, 2), (command, code)
 
 
+def explicit_layout(doc):
+    """A count-layout model document in the explicit layout that versions
+    before the count layout wrote: ``[cell, mass]`` pairs in tuple order
+    and the list of accepted cells."""
+    doc = json.loads(json.dumps(doc))
+    for d in doc["detectors"]:
+        width, n = len(d["attrs"]), sum(d["counts"])
+        cells = [d["cells"][j:j + width] for j in range(0, len(d["cells"]), width)]
+        d["accepted"] = sorted(cells[:d["accepted"]])
+        d["cells"] = sorted([cell, count / n] for cell, count in zip(cells, d.pop("counts")))
+    return doc
+
+
 @pytest.fixture(scope="module")
 def model_docs(fault_dir):
     """The fault_dir model's document in the count layout, and in the explicit one."""
-    text = (fault_dir / "model.json").read_text(encoding="utf-8")
-    model = aag.EnsembleModel.from_json(text)
-    # a detector built without its fit row count is written explicitly
-    model = replace(model, detectors=[aag.SubspaceDetector(d.subspace, d.cell_mass,
-                                                           d.accepted_cells, d.alpha)
-                                      for d in model.detectors])
-    docs = {"count": json.loads(text), "explicit": model.to_json_dict()}
-    assert [set(d) for d in docs["count"]["detectors"]] == [
-        {"attrs", "cells", "counts", "accepted"}] * len(model.detectors)
-    return docs
+    count = json.loads((fault_dir / "model.json").read_text(encoding="utf-8"))
+    assert [set(d) for d in count["detectors"]] == [
+        {"attrs", "cells", "counts", "accepted"}] * len(count["detectors"])
+    return {"count": count, "explicit": explicit_layout(count)}
 
 
 BAD_CODES = (-1, 2**63, 1.5, True, "0", None)
@@ -424,7 +442,8 @@ BAD_CODES = (-1, 2**63, 1.5, True, "0", None)
 
 @st.composite
 def mutated_models(draw, docs):
-    """A model document of either layout with one to three faults drawn into it."""
+    """A model document of either layout with one to three faults drawn
+    into it, and its layout."""
     layout = draw(st.sampled_from(sorted(docs)))
     doc = json.loads(json.dumps(docs[layout]))
     for _ in range(draw(st.integers(1, 3))):
@@ -467,18 +486,19 @@ def mutated_models(draw, docs):
                 cells[width:2 * width] = cells[:width]
             else:
                 cells[-1] = cells[0]
-    return doc
+    return layout, doc
 
 
 @settings(max_examples=60)
 @given(data=st.data())
 def test_a_mutated_model_exits_0_or_2_from_score(fault_dir, model_docs, data):
-    doc = data.draw(mutated_models(model_docs))
+    layout, doc = data.draw(mutated_models(model_docs))
     model_path = fault_dir / "mutated.json"
     model_path.write_text(json.dumps(doc), encoding="utf-8")
     code = run("score", "--input", fault_dir / "clean.csv", "--model", model_path,
                "--output", fault_dir / "mutated_scores.csv")
-    assert code in (0, 2), doc
+    # the explicit layout is refused, whatever the faults
+    assert code == 2 if layout == "explicit" else code in (0, 2), doc
 
 
 def _symbol_csv_text():
