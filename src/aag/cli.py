@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleModel, classify_table, fit_ensemble, split_indices
+from .ensemble import ANOMALY, EnsembleModel, classify_table, fit_ensemble, split_indices
 from .errors import AagError, SchemaError
 from .evaluation import f1_score, generate_setting1, generate_setting3, stability_index
 from .grouping import SubspaceSet, run_aag
@@ -215,7 +215,7 @@ def cmd_bench(args) -> int:
         model = _train_model(split.train, rep_args)
         coded = apply_preprocessor(model.preprocess, split.test)
         _, labels = classify_table(model, coded)
-        predictions = [1 if label == "anomaly" else 0 for label in labels]
+        predictions = [1 if label == ANOMALY else 0 for label in labels]
         report = f1_score(split.test_labels, predictions)
         f1_values.append(report.f1)
         lines.append(f"{rep},{seed},{report.csv_line()}")

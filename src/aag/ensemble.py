@@ -11,17 +11,19 @@ scored as ``classify_table`` scores them can exceed the cut; they do on 6
 of the 20 seed-0 benchmark tables.
 
 A detector is its training counts, held as immutable int64 arrays: its
-cells, of shape [k, width], ranked by descending count (ties in tuple
-order), their counts, which sum to ``fit_rows`` below 2^53, and the
-accepted cells, the first rows of the ranked cells. A cell's mass is
-``count / fit_rows``. ``fit_detector``, and the model reader, build the
-arrays directly; the constructor takes a ``cell_mass`` dict, an
-``accepted_cells`` set and ``fit_rows``, and raises ValueError unless
-each mass is ``count / fit_rows`` for an int count of at least 1, the
-counts summing to ``fit_rows``, and the accepted cells are a ranked
-prefix. The public ``cell_mass`` (a read-only mapping) and
-``accepted_cells`` (a frozenset) are views, built from the arrays when
-first read and kept; neither can be assigned or changed.
+cells, of shape [k, width], ranked by descending count, ties in joint-key
+order (``table._joint_key``, which sorts as the code tuples do); their
+counts; and the accepted cells, the first rows of the ranked cells. A
+cell's mass is ``count / fit_rows``. One rule, ``_checked``, says which
+arrays are a detector. The constructor and the model reader build a
+detector through it; only ``fit_detector``, whose arrays are ranked
+counts by construction, builds one unchecked. The constructor takes a
+``cell_mass`` dict, an ``accepted_cells`` set and ``fit_rows``, reads the
+counts from the masses, and also requires the accepted cells to be the
+ranked prefix and the counts to sum to ``fit_rows``. The public
+``cell_mass`` (a read-only mapping) and ``accepted_cells`` (a frozenset)
+are views, built from the arrays when first read and kept; neither can
+be assigned or changed.
 
 Scoring contract: a row's score is the sum of the weights of the
 detectors that accept it, added one at a time in detector order starting
@@ -51,9 +53,9 @@ detector is written in the count layout, its arrays as they are: the
 cells' codes row by row in one flat list, their counts, and the length
 of the accepted prefix. Its masses are read back as ``count /
 sum(counts)``, the division ``fit_detector`` makes, so they are the same
-floats. The reader refuses what a detector cannot hold: cells not
-ranked as above, counts summing to 2^53 or more, a count its mass does
-not give back (as the constructor reads counts), and an entry of the
+floats. The reader turns each entry's ``cells`` and ``counts`` into int64
+once (``_int64``), checks them by the detector rule and raises its error
+as a SchemaError naming the detector. It also refuses an entry of the
 explicit layout (``[cell, mass]`` pairs and a list of accepted cells),
 which versions before the count layout wrote and which is to be
 retrained. Earlier indented files of the count layout load. The
@@ -113,14 +115,15 @@ class SubspaceDetector:
     empty subspace or a negative attribute, a cell not of the subspace's
     width, a code that is not an integer in [0, 2^63) (``True`` is not
     one), masses that are not ``count / fit_rows`` for counts of at least
-    1 summing to ``fit_rows`` below 2^53, or accepted cells that are not
-    the cells of the highest counts, ties in tuple order.
+    1, accepted cells that are not the cells of the highest counts, ties
+    in tuple order, counts the detector rule refuses, or counts that do
+    not sum to ``fit_rows``.
     """
 
     subspace: tuple[int, ...]
     alpha: float
     fit_rows: int  # the rows it was fitted on; each mass is count / fit_rows
-    # int64 [k, width], ranked by descending count, ties in tuple order
+    # int64 [k, width], ranked by descending count, ties in joint-key (tuple) order
     _cells: np.ndarray = field(repr=False)
     _counts: np.ndarray = field(repr=False)  # int64 [k]
     _accepted: np.ndarray = field(repr=False)  # int64 [a, width]: the first a rows of _cells
@@ -132,25 +135,24 @@ class SubspaceDetector:
         cells = _code_array(list(cell_mass), len(subspace))
         accepted = _code_array(list(set(accepted_cells)), len(subspace))
         counts = _counts_of(list(cell_mass.values()), fit_rows)
-        rank = np.lexsort((*cells.T[::-1], -counts))  # the last key sorts first
-        cells, prefix = cells[rank], cells[rank[:len(accepted)]]
-        if not np.array_equal(prefix[_tuple_order(prefix)], accepted[_tuple_order(accepted)]):
+        rank = np.lexsort((_cell_keys(cells), -counts))  # the last key sorts first
+        cells, counts, k = cells[rank], counts[rank], len(accepted)
+        if set(map(tuple, cells[:k].tolist())) != set(map(tuple, accepted.tolist())):
             raise ValueError("the accepted cells must be the cells of the highest counts, "
                              "ties in tuple order")
-        self._hold(subspace, alpha, int(fit_rows), cells, counts[rank], len(accepted))
-
-    def _hold(self, subspace, alpha, fit_rows, cells, counts, k) -> None:
         # the fields are set once, here: the dataclass is frozen
-        self.__dict__.update(subspace=subspace, alpha=alpha, fit_rows=fit_rows, _cells=cells,
-                             _counts=counts, _accepted=cells[:k])
+        self.__dict__.update(vars(_checked(subspace, alpha, cells, counts, k)))
+        if self.fit_rows != fit_rows:
+            raise ValueError("the counts of the cell masses must sum to fit_rows")
 
     @classmethod
     def _of_ranked(cls, subspace: tuple[int, ...], alpha: float, fit_rows: int,
                    cells: np.ndarray, counts: np.ndarray, k: int) -> "SubspaceDetector":
         """A detector of cells in rank, with their counts, which sum to
-        ``fit_rows``, and the length of the accepted prefix."""
+        ``fit_rows``, and the length of the accepted prefix; unchecked."""
         d = cls.__new__(cls)
-        d._hold(subspace, alpha, fit_rows, cells, counts, k)
+        d.__dict__.update(subspace=subspace, alpha=alpha, fit_rows=fit_rows, _cells=cells,
+                          _counts=counts, _accepted=cells[:k])
         return d
 
     @cached_property
@@ -184,25 +186,21 @@ def _code_array(cells: list, width: int) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(len(cells), width)
 
 
-def _tuple_order(cells: np.ndarray) -> np.ndarray:
-    """The order that sorts int64 rows of codes as their tuples sort."""
-    return np.lexsort(cells.T[::-1])
-
-
 def _exact_sum(counts: np.ndarray) -> int | None:
-    """The sum of int64 counts in [1, 2^62), or None if it reaches 2^53:
-    the running sum passes 2^53 before it could wrap int64."""
+    """The sum of int64 counts of at least 1, or None if it reaches 2^53:
+    a count of 2^53 or more reaches it alone, and with each count below
+    2^53 the running sum passes 2^53 before it could wrap int64."""
     if not counts.size:
         return 0
     running = np.cumsum(counts)
-    return int(running[-1]) if running.max() < _MAX_EXACT else None
+    return int(running[-1]) if max(counts.max(), running.max()) < _MAX_EXACT else None
 
 
 def _counts_of(masses: list, n) -> np.ndarray:
-    """The int64 counts whose masses ``count / n`` are ``masses``, each at
-    least 1 and summing to ``n`` below 2^53; ValueError if there are none."""
+    """The int64 counts whose masses ``count / n`` are ``masses``, for
+    ``n`` an int in [0, 2^53); ValueError if there are none."""
     bad = ValueError("every cell mass must be count / fit_rows for an integer count of "
-                     "at least 1, the counts summing to fit_rows below 2^53")
+                     "at least 1 and an integer fit_rows in [0, 2^53)")
     if not (_only([n], *_INTEGER) and _only(masses, int, float, np.integer, np.floating)):
         raise bad
     try:
@@ -216,9 +214,55 @@ def _counts_of(masses: list, n) -> np.ndarray:
         raise bad
     # int64 / int divides as Python's int / int does below 2^53: the masses fit_detector made
     counts = counts.astype(np.int64)
-    if _exact_sum(counts) != n or not np.array_equal(counts / n, masses):
+    if not np.array_equal(counts / n, masses):
         raise bad
     return counts
+
+
+def _checked(subspace: tuple[int, ...], alpha: float, cells: np.ndarray, counts: np.ndarray,
+             k: int) -> SubspaceDetector:
+    """The detector of int64 ``cells`` (``len(subspace)`` codes for each
+    count, row by row), int64 ``counts`` and ``k`` accepted cells. It
+    raises ValueError naming the field at the first check that fails, in
+    this order: the counts are at least 1 and sum to below 2^53; the cells
+    hold their codes, each >= 0; ``0 <= k <= len(counts)``; no cell is
+    listed twice; the cells are ranked by descending count, ties in
+    joint-key order; each count is read back from its mass."""
+    m, width = len(counts), len(subspace)
+    if m and counts.min() < 1:
+        raise ValueError("field 'counts' must hold integers of at least 1")
+    n = _exact_sum(counts)
+    if n is None:
+        raise ValueError("field 'counts' must sum to below 2^53")
+    if cells.size != width * m or (cells.size and cells.min() < 0):
+        raise ValueError(f"field 'cells' must hold {width} codes in [0, 2^63) "
+                         f"for each of the {m} counts")
+    if not 0 <= k <= m:
+        raise ValueError(f"field 'accepted' must be a number of cells in [0, {m}]")
+    cells = cells.reshape(m, width)
+    key = _cell_keys(cells)
+    in_order = np.sort(key)
+    if (in_order[1:] == in_order[:-1]).any():
+        raise ValueError("field 'cells' lists a cell twice")
+    step = counts[1:] - counts[:-1]
+    if not ((step <= 0) & ((step < 0) | (key[1:] > key[:-1]))).all():
+        raise ValueError("field 'cells' must be ranked by descending count, ties in tuple order")
+    # the counts the constructor reads back from their masses
+    if not np.array_equal(np.rint(counts / n * n), counts):
+        raise ValueError(f"field 'counts' holds a count that its mass count / {n} "
+                         "does not give back")
+    return SubspaceDetector._of_ranked(subspace, alpha, n, cells, counts, k)
+
+
+def _cell_keys(codes: np.ndarray) -> np.ndarray:
+    """The joint key of each row of codes: keys sort as the rows do, and
+    are equal exactly when the rows are. They index no table, so only a
+    multiply that could overflow renumbers them."""
+    if not codes.size:
+        return np.zeros(len(codes), dtype=np.int64)
+    columns = codes.T
+    arities = [m + 1 for m in columns.max(axis=1).tolist()]
+    return _joint_key(columns, arities, range(len(columns)), _MAX_KEYS)[0]
 
 
 def fit_detector(train: DiscreteTable, subspace, alpha: float) -> SubspaceDetector:
@@ -358,29 +402,27 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
-def _int64(values: list) -> np.ndarray | None:
-    """A model file's list of integers as int64; None if an item is not an
-    int (``True`` is not one) or falls outside int64."""
-    if not _only(values, int):
-        return None
-    try:
-        return np.fromiter(values, np.int64, len(values))
-    except OverflowError:
-        return None
+def _int64(d: dict, name: str, over: int, where: str) -> np.ndarray:
+    """A detector entry's ``cells`` or ``counts`` as int64, for the
+    detector rule to check: a 1-D int64 array (as ``from_json`` lifts it)
+    as it is, or a list in which an item that is not an int (``True`` is
+    not one) or is negative reads as -1, and an int above int64 as
+    ``over``."""
+    values = d.get(name)
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        return values
+    values = _require(d, name, list, where)
+    if _only(values, int):
+        try:
+            return np.fromiter(values, np.int64, len(values))
+        except OverflowError:
+            pass
+    return np.array([-1 if not _only([v], int) or v < 0 else over if v > _MAX_CODE else v
+                     for v in values], dtype=np.int64)
 
 
-def _count_array(d, name: str, where: str, arrays: bool):
-    """A detector entry's field: an int64 array the reader lifted (when
-    ``arrays``), or the list it must otherwise be."""
-    if arrays and type(d.get(name)) is np.ndarray:
-        return d[name]
-    return _require(d, name, list, where)
-
-
-def _detector_from_json(d, i: int, alpha: float, arrays: bool = False) -> SubspaceDetector:
-    """One detector entry of a model file, its arrays checked in one pass
-    each. Its ``cells`` and ``counts`` are lists, or (``arrays``) int64
-    arrays of codes in [0, 10^18) that ``from_json`` lifted from the text."""
+def _detector_from_json(d, i: int, alpha: float) -> SubspaceDetector:
+    """One detector entry of a model file, checked by the detector rule."""
     where = f"model detector {i}"
     attrs = _require(d, "attrs", list, where)
     if not attrs or not _only(attrs, int) or min(attrs) < 0:
@@ -388,58 +430,14 @@ def _detector_from_json(d, i: int, alpha: float, arrays: bool = False) -> Subspa
     if "counts" not in d and type(d.get("accepted")) is list:
         raise SchemaError(f"{where} is in the explicit layout of [cell, mass] pairs, which "
                           "this version no longer reads; retrain the model with 'aag train'")
-    width = len(attrs)
-    cells = _count_array(d, "cells", where, arrays)
-    counts = _count_array(d, "counts", where, arrays)
+    # a code above int64 is refused as a negative one; a count, as one of 2^53 or more
+    cells = _int64(d, "cells", -1, where)
+    counts = _int64(d, "counts", _MAX_CODE, where)
     k = _require(d, "accepted", int, where)
-    bad_counts = SchemaError(f"{where} field 'counts' must hold integers of at least 1")
-    too_many = SchemaError(f"{where} field 'counts' must sum to below 2^53")
-    if isinstance(counts, list):
-        if not _only(counts, int) or (counts and min(counts) < 1):
-            raise bad_counts
-        if counts and max(counts) >= _MAX_EXACT:  # a count that may not fit int64
-            raise too_many
-        counts = np.array(counts, dtype=np.int64)
-    elif counts.size and counts.min() < 1:
-        raise bad_counts
-    n = _exact_sum(counts)  # each count is below 2^53 or, lifted, 10^18
-    if n is None:
-        raise too_many
-    bad_cells = SchemaError(f"{where} field 'cells' must hold {width} codes in [0, 2^63) "
-                            f"for each of the {len(counts)} counts")
-    if len(cells) != width * len(counts):
-        raise bad_cells
-    codes = _int64(cells) if isinstance(cells, list) else cells
-    if codes is None or (codes.size and codes.min() < 0):
-        raise bad_cells
-    codes = codes.reshape(len(counts), width)
-    if not 0 <= k <= len(counts):
-        raise SchemaError(f"{where} field 'accepted' must be a number of cells "
-                          f"in [0, {len(counts)}]")
-    key = _cell_keys(codes)
-    in_order = np.sort(key)
-    if (in_order[1:] == in_order[:-1]).any():
-        raise SchemaError(f"{where} field 'cells' lists a cell twice")
-    step = counts[1:] - counts[:-1]
-    if not ((step <= 0) & ((step < 0) | (key[1:] > key[:-1]))).all():
-        raise SchemaError(f"{where} field 'cells' must be ranked by descending count, "
-                          "ties in tuple order")
-    # as the constructor reads each count back from its mass
-    if not np.array_equal(np.rint(counts / n * n), counts):
-        raise SchemaError(f"{where} field 'counts' holds a count that its mass "
-                          f"count / {n} does not give back")
-    return SubspaceDetector._of_ranked(tuple(attrs), alpha, n, codes, counts, k)
-
-
-def _cell_keys(codes: np.ndarray) -> np.ndarray:
-    """The joint key of each row of codes: keys sort as the rows do, and
-    are equal exactly when the rows are. They index no table, so only a
-    multiply that could overflow renumbers them."""
-    if not codes.size:
-        return np.zeros(len(codes), dtype=np.int64)
-    columns = codes.T
-    arities = [m + 1 for m in columns.max(axis=1).tolist()]
-    return _joint_key(columns, arities, range(len(columns)), _MAX_KEYS)[0]
+    try:
+        return _checked(tuple(attrs), alpha, cells, counts, k)
+    except ValueError as exc:
+        raise SchemaError(f"{where} {exc}") from None
 
 
 def _plain(value):
@@ -634,12 +632,9 @@ class EnsembleModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnsembleModel":
-        """Read a model document; a missing or ill-typed field raises SchemaError naming it."""
-        return cls._of_document(doc)
-
-    @classmethod
-    def _of_document(cls, doc, arrays: bool = False) -> "EnsembleModel":
-        """``from_json_dict``; ``arrays``: detector entries may hold lifted arrays."""
+        """Read a model document; a missing or ill-typed field raises
+        SchemaError naming it. A detector entry's ``cells`` and ``counts``
+        are lists or 1-D int64 arrays."""
         entries = _require(doc, "detectors", list, "model")
         weights = _require(doc, "weights", list, "model")
         rho = _finite(_require(doc, "rho", (int, float), "model"), "model field 'rho'")
@@ -652,7 +647,7 @@ class EnsembleModel:
         if not _only(weights, int, float):
             raise SchemaError("model field 'weights' must hold numbers")
         weights = [_finite(w, "model field 'weights' entries") for w in weights]
-        detectors = [_detector_from_json(d, i, alpha, arrays) for i, d in enumerate(entries)]
+        detectors = [_detector_from_json(d, i, alpha) for i, d in enumerate(entries)]
         pp = None
         if "preprocess" in doc:
             try:
@@ -678,7 +673,7 @@ class EnsembleModel:
             except json.JSONDecodeError:
                 doc = None  # decoded again whole below, for the error's place
             if doc is not None and _put_back(doc, arrays):
-                return cls._of_document(doc, arrays=True)
+                return cls.from_json_dict(doc)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -723,9 +718,8 @@ def fit_ensemble(
         raise ValueError("no subspaces given")
     if train.n_rows < 10:
         raise ValueError("need at least 10 training rows")
+    # with n >= 10 rows, split_indices leaves each part at least one
     fit_idx, val_idx = split_indices(train.n_rows, val_fraction, seed)
-    if fit_idx.size == 0 or val_idx.size == 0:
-        raise ValueError("split left an empty part")
     fit_part = train.take_rows(fit_idx)
     val_by_attr = np.ascontiguousarray(train.codes[val_idx].T)
 

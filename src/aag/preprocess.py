@@ -285,20 +285,34 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _typed_column(name: str, cells: list[str], missing: set, as_nan: dict | None) -> RawColumn:
-    """A column of raw cells, typed as a column of its stripped cells.
+def _numbers(cells: list[str], missing: set, as_nan: dict | None) -> np.ndarray | None:
+    """Raw cells as floats, NaN where missing or not finite; None when a
+    present cell is not a number.
 
-    ``float`` ignores the whitespace ``str.strip`` removes, so a column is
-    first parsed from its raw cells (``_parsed``). Only when that fails,
-    or finds no finite number, are the cells stripped and typed one by one.
+    ``float`` ignores the whitespace ``str.strip`` removes, so the raw
+    cells are parsed in one pass first (``_parsed``); only when that fails
+    are they stripped and parsed one by one, up to the first cell that is
+    not a number.
     """
     values = _parsed(cells, as_nan)
-    if values is None or not np.isfinite(values).any():
-        cells = list(map(str.strip, cells))
-        values = None if all(c in missing for c in cells) else _stripped_numbers(cells, missing)
-        if values is None:
-            return RawColumn(name, CATEGORICAL, _symbols(cells, missing))
+    if values is None:
+        try:
+            values = np.array([math.nan if c in missing else float(c)
+                               for c in map(str.strip, cells)], dtype=np.float64)
+        except ValueError:
+            return None
     values[~np.isfinite(values)] = math.nan
+    return values
+
+
+def _typed_column(name: str, cells: list[str], missing: set, as_nan: dict | None) -> RawColumn:
+    """A column of raw cells, typed as a column of its stripped cells:
+    numeric when every present cell is a number, unless every cell is missing."""
+    values = _numbers(cells, missing, as_nan)
+    if values is None or np.isnan(values).all():
+        cells = list(map(str.strip, cells))
+        if values is None or all(c in missing for c in cells):
+            return RawColumn(name, CATEGORICAL, _symbols(cells, missing))
     return RawColumn(name, NUMERIC, values)
 
 
@@ -308,13 +322,8 @@ def _number_coder(cm: ColumnModel, missing: set, as_nan: dict | None):
     edges = np.asarray(cm.edges, dtype=np.float64)
 
     def code(cells: list[str]) -> np.ndarray | None:
-        values = _parsed(cells, as_nan)
-        if values is None:
-            values = _stripped_numbers(list(map(str.strip, cells)), missing)
-            if values is None:
-                return None
-        values[~np.isfinite(values)] = math.nan
-        return _bin_codes(cm, edges, values)
+        values = _numbers(cells, missing, as_nan)
+        return None if values is None else _bin_codes(cm, edges, values)
     return code
 
 
@@ -362,15 +371,6 @@ def _parsed(cells: list[str], as_nan: dict | None) -> np.ndarray | None:
         return None
     try:
         return np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, len(cells))
-    except ValueError:
-        return None
-
-
-def _stripped_numbers(cells: list[str], missing: set) -> np.ndarray | None:
-    """Stripped cells as floats, NaN where missing; None at the first
-    present cell that is not a number."""
-    try:
-        return np.array([math.nan if c in missing else float(c) for c in cells], dtype=np.float64)
     except ValueError:
         return None
 

@@ -352,6 +352,16 @@ COUNT_FIELD_EDITS = [
 ]
 
 
+def read_text_of(doc):
+    """``from_json`` of the document as ``to_json`` lays it out, so that its
+    ``cells`` and ``counts`` lists of digits are lifted and parsed in numpy."""
+    return EnsembleModel.from_json(json.dumps(doc, separators=(",", ":")))
+
+
+# the two ways a document is read: as it is, and from its text
+DOCUMENT_READERS = (EnsembleModel.from_json_dict, read_text_of)
+
+
 class TestModelFileValidation:
     @staticmethod
     def doc():
@@ -368,8 +378,15 @@ class TestModelFileValidation:
     def test_malformed_count_layout_field_is_a_schema_error_naming_it(self, edit, field):
         doc = self.doc()
         edit(doc["detectors"][1])
-        with pytest.raises(SchemaError, match=f"detector 1 .*'{field}'"):
-            EnsembleModel.from_json_dict(doc)
+        for read in DOCUMENT_READERS:
+            with pytest.raises(SchemaError, match=f"detector 1 .*'{field}'"):
+                read(doc)
+
+    def test_the_pinned_document_is_read_from_lifted_arrays(self):
+        with mock.patch.object(ensemble, "_integers", wraps=ensemble._integers) as parse:
+            read_text_of(self.doc())
+        (bodies,), _ = parse.call_args
+        assert len(bodies) == 4  # each detector's cells and counts
 
     def test_count_layout_edges_are_read(self):
         doc = self.doc()
@@ -390,14 +407,15 @@ class TestModelFileValidation:
         # 2 049 counts of 2**53 - 1 and one of 2 048 sum to 2**64 + 2**53 - 1,
         # which int64 wraps to 2**53 - 1
         [2**53 - 1] * 2049 + [2048],
+        # an int64 count whose first partial sum already wraps int64
+        [2**52, 2**63 - 1],
     ])
     def test_counts_summing_to_2_53_or_more_are_refused(self, counts):
         doc = self.doc()
         doc["detectors"][1].update(accepted=0, cells=list(range(2 * len(counts))), counts=counts)
-        with pytest.raises(SchemaError, match="detector 1 field 'counts' must sum to below 2"):
-            EnsembleModel.from_json_dict(doc)
-        with pytest.raises(SchemaError, match="detector 1 field 'counts' must sum to below 2"):
-            EnsembleModel.from_json(json.dumps(doc))
+        for read in DOCUMENT_READERS:
+            with pytest.raises(SchemaError, match="detector 1 field 'counts' must sum to below 2"):
+                read(doc)
 
     def test_a_count_its_mass_does_not_give_back_is_refused(self):
         counts = [3680419207728641, 2604612007400664]
@@ -939,8 +957,7 @@ class TestArrayBackedDetectors:
     def test_a_file_not_in_rank_order_is_refused(self, cells, counts):
         doc = json.loads(PINNED_COUNT)
         doc["detectors"][1].update(cells=cells, counts=counts)
-        for read in (EnsembleModel.from_json_dict, lambda doc: EnsembleModel.from_json(
-                json.dumps(doc))):
+        for read in DOCUMENT_READERS:
             with pytest.raises(SchemaError, match="detector 1 field 'cells' must be ranked"):
                 read(doc)
 

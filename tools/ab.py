@@ -24,8 +24,7 @@ inputs with its own library (its model must be the bytes its ``aag
 train`` wrote) and ROUNDS rounds run every phase on every table on both
 sides back to back, the side that goes first alternating. The inputs
 are frozen out of the collector's view, and every phase runs with the
-collector on unless that side's ``cli.main`` pauses it (checkouts before
-the pause was retired do). Per workload and phase the report gives each
+collector on. Per workload and phase the report gives each
 side's median over rounds of the seconds summed over the tables, of the
 collector's seconds inside them and, per generation, of the collections
 it ran there (a ``gc.callbacks`` hook), and the median and IQR of the
