@@ -59,6 +59,10 @@ class BenchmarkSplit:
     provenance: dict
 
     def save(self, directory) -> None:
+        """Write train.csv, test.csv, labels.csv and provenance.json into
+        ``directory``. The provenance gains ``column_kinds``, each train
+        column's kind by name, so ``load_csv(path, kinds=...)`` reads a
+        column back as its kind even when its symbols all read as numbers."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         _write_raw_csv(self.train, directory / "train.csv")
@@ -67,7 +71,9 @@ class BenchmarkSplit:
         lines += [f"{i},{'anomaly' if v else 'normal'}" for i, v in enumerate(self.test_labels)]
         (directory / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         (directory / "provenance.json").write_text(
-            json.dumps(self.provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps({**self.provenance,
+                        "column_kinds": {c.name: c.kind for c in self.train.columns}},
+                       indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
 

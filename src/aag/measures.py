@@ -40,23 +40,28 @@ Every joint entropy is counted with one ``np.bincount`` over the
 attribute set's key from ``table._joint_key``: the mixed-radix number
 ((c0*r1 + c1)*r2 + c2)... of the codes, carried exactly and renumbered
 densely by ``np.unique`` once at the end when its key space passes 4
-keys per row (and midway only where a multiply could pass 2^62). The key
-sorts as the code tuples do, so the nonzero counts come in lexicographic
-tuple order for every set, however it was renumbered, and log2(k) is read
-from a table of ``np.log2`` values. Two kernels count it. The ordered
-pass ``_set_entropies`` gives H of every set of 1..width of sorted
-attributes, one array per size in ``combinations`` order. It counts the
-sets of each prefix p a fan at a time: H(p + (z,)) for every z > p[-1]
-by one bincount over the run's keys laid side by side, each set's
-nonzero counts one slice of the compacted counts, at most ``_FAN_KEYS``
-keys and counts to a bincount. Single attributes, a set whose key space
-passes the budget, every set of a prefix that passes it, total
-correlation and the public functions of a few sets take the per-set
-kernel, ``_joint_entropy``. Both give the same bits: each set's counts
-come in the same order, and ``np.dot`` sums a slice as it sums an array
-of its own. ``induce_partition`` and detector fitting count the exact
-key. A partition with one block has entropy exactly 0.0; the formula
-alone would round it to -4.4e-16 for some N.
+keys per row (and midway only where a multiply could pass 2^62). An
+entropy is an exact integer sum: each block count c adds T[c] =
+rint(c log2(c) 2^k), an int64 table over c = 0..N whose k fractional
+bits are the most that keep any counts of N rows summing below 2^62,
+and H = log2(N) - S 2^-k / N for the sum S, or exactly 0.0 when one
+block holds every row (the formula alone would round that to -4.4e-16
+for some N). Zero counts add nothing and integer sums have no order, so
+H depends only on the multiset of nonzero counts: no layout, order or
+kernel can change its bits. Rounding T costs at most half a unit 2^-k
+per block, so H of m blocks is within 1e-14 + m 2^-(k+1) / N of its
+exact value; 2^-(k+1) is 1.8e-15 at 700 rows and 7.3e-12 at 10^6.
+Two kernels count it. The ordered pass ``_set_entropies`` gives H of
+every set of 1..width of sorted attributes, one array per size in
+``combinations`` order. It counts the sets of each prefix p a fan at a
+time: H(p + (z,)) for every z > p[-1] by one bincount over the run's
+keys laid side by side, each set's key space padded to the run's
+largest arity so that its counts are one row of a 2-D view, at most
+``_FAN_KEYS`` keys and counts to a bincount. Single attributes, a set
+whose key space passes the budget, every set of a prefix that passes it,
+total correlation and the public functions of a few sets take the
+per-set kernel, ``_joint_entropy``. ``induce_partition`` and detector
+fitting count the exact key.
 """
 
 from __future__ import annotations
@@ -70,17 +75,36 @@ import numpy as np
 from .table import _KEYS_PER_ROW, _MAX_KEYS, DiscreteTable, Partition, _joint_key, validate_attrs
 
 
-def _log2_table(n: int) -> np.ndarray:
-    """log2(k) for k = 0..n; entry 0 is 0.0 and never read."""
-    table = np.zeros(n + 1)
-    np.log2(np.arange(1, n + 1, dtype=np.float64), out=table[1:])
-    return table
+def _scale_bits(n: int) -> int:
+    """k, the fractional bits of ``_xlog2x_table(n)``: the most that keep
+    any sum of its entries over counts totalling ``n`` below 2^62."""
+    return 61 - math.ceil(math.log2(max(n * math.log2(n), 1.0)))
 
 
-def _joint_entropy(columns, arities, attrs: tuple[int, ...], log2_table: np.ndarray) -> float:
-    """The entropy kernel: H(attrs) over ``len(log2_table) - 1`` rows."""
-    key, size = _joint_key(columns, arities, attrs, _KEYS_PER_ROW * (log2_table.size - 1))
-    return _entropy_from_counts(np.bincount(key, minlength=size), log2_table)
+def _xlog2x_table(n: int) -> np.ndarray:
+    """T[c] = rint(c log2(c) 2^k) for c = 0..n as int64, k = ``_scale_bits(n)``.
+    Entries 0 and 1 are 0. The entries of counts totalling n sum to at
+    most n log2(n) 2^k <= 2^61 plus the entries' rounding, below 2^62, so
+    the sum is exact in any order."""
+    c = np.arange(n + 1, dtype=np.float64)
+    c[0] = 1.0  # 0 log2(0) counts as 0, as 1 log2(1) is
+    return np.rint(c * np.log2(c) * 2.0 ** _scale_bits(n)).astype(np.int64)
+
+
+def _entropy_of_sums(sums, table: np.ndarray):
+    """H in bits from ``sums``, exact sums of ``table``'s entries over
+    block counts totalling N = len(table) - 1, an int64 or an array of
+    them: log2(N) - S 2^-k / N, elementwise, and exactly 0.0 where one
+    block holds every row (S = T[N]), which the formula alone would round
+    to -4.4e-16 for some N."""
+    n = table.size - 1
+    return np.where(sums == table[n], 0.0, math.log2(n) - sums / (n * 2.0 ** _scale_bits(n)))
+
+
+def _joint_entropy(columns, arities, attrs: tuple[int, ...], table: np.ndarray) -> float:
+    """The entropy kernel: H(attrs) over ``len(table) - 1`` rows."""
+    key, size = _joint_key(columns, arities, attrs, _KEYS_PER_ROW * (table.size - 1))
+    return _entropy_from_counts(np.bincount(key, minlength=size), table)
 
 
 def induce_partition(table: DiscreteTable, attrs) -> Partition:
@@ -98,23 +122,20 @@ def induce_partition(table: DiscreteTable, attrs) -> Partition:
 
 def entropy(partition: Partition) -> float:
     """Shannon entropy of a partition, in bits. 0 log 0 counts as 0."""
-    return _entropy_from_counts(partition.block_sizes, _log2_table(partition.n_rows))
-
-
-def _entropy_from_counts(counts: np.ndarray, log2_table: np.ndarray) -> float:
-    """H in bits of block counts over N = len(log2_table) - 1 rows."""
-    c = counts[counts > 0]
-    if c.size <= 1:
-        # log2(N) - N log2(N) / N rounds to -4.4e-16 for some N (10, 11, 13, ...)
+    if partition.n_rows == 0:  # no blocks, and no table of 0 rows
         return 0.0
-    n = log2_table.size - 1
-    return float(log2_table[n] - np.dot(c.astype(np.float64), log2_table[c]) / n)
+    return _entropy_from_counts(partition.block_sizes, _xlog2x_table(partition.n_rows))
+
+
+def _entropy_from_counts(counts: np.ndarray, table: np.ndarray) -> float:
+    """H in bits of block counts over N = len(table) - 1 rows; zero counts add nothing."""
+    return float(_entropy_of_sums(table.take(counts).sum(), table))
 
 
 def joint_entropy(table: DiscreteTable, attrs) -> float:
     """Entropy of the joint partition over ``attrs``, computed afresh."""
     attrs = validate_attrs(table, attrs)
-    return _joint_entropy(table.codes.T, table.arities, attrs, _log2_table(table.n_rows))
+    return _joint_entropy(table.codes.T, table.arities, attrs, _xlog2x_table(table.n_rows))
 
 
 # the most keys and counts one fan's bincount holds, unless it counts a
@@ -127,52 +148,42 @@ def _fan_runs(arities, first: int, size: int, n_rows: int):
     with a prefix of key space ``size`` one bincount counts: an attribute
     whose key space ``size * arity`` passes the budget ends a run and
     joins none, and a run of more than one set holds at most
-    ``_FAN_KEYS`` keys and counts."""
+    ``_FAN_KEYS`` keys and counts, each set's counts padded to the run's
+    largest arity."""
     budget = _KEYS_PER_ROW * n_rows
-    start, held = first, 0
+    start, widest = first, 0
     for z in range(first, len(arities)):
-        cost = n_rows + size * arities[z]
         if size * arities[z] > budget:
             if start < z:
                 yield start, z
-            start, held = z + 1, 0
-        elif start < z and held + cost > _FAN_KEYS:
+            start, widest = z + 1, 0
+        elif start < z and (z + 1 - start) * (n_rows + size * max(widest, arities[z])) > _FAN_KEYS:
             yield start, z
-            start, held = z, cost
+            start, widest = z, arities[z]
         else:
-            held += cost
+            widest = max(widest, arities[z])
     if start < len(arities):
         yield start, len(arities)
 
 
-def _fan_entropies(columns, key: np.ndarray, size: int, radix: np.ndarray, start: int,
-                   log2_table: np.ndarray) -> list[float]:
-    """H(p + (z,)) for each z of ``start .. start + len(radix) - 1``, from
-    the key ``key`` of the prefix p, never renumbered, its key space
-    ``size`` and the arities ``radix`` of the z, none of whose sets' key
-    spaces passes the budget. Each set's keys are offset by the key
-    spaces before it, all are counted by one bincount, and a set's
-    nonzero counts are one slice of the compacted counts."""
-    ends = np.cumsum(radix * size)
-    keys = np.multiply.outer(radix, key)
-    keys += (ends - radix * size)[:, None]
-    keys += columns[start:start + radix.size]
-    counts = np.bincount(keys.ravel(), minlength=int(ends[-1]))
+def _fan_entropies(columns: np.ndarray, key: np.ndarray, size: int, widest: int,
+                   table: np.ndarray) -> np.ndarray:
+    """H(p + (z,)) for each z whose codes are a row of ``columns``, from
+    the key ``key`` of the prefix p, never renumbered, and its key space
+    ``size``. No z's arity passes ``widest``, and no set's key space the
+    budget. Every set's key space is padded to ``widest``: set i's keys
+    are i size widest + key widest + z's codes, all are counted by one
+    bincount, and set i's counts are row i of the counts laid out as rows
+    of size widest bins. The padding's zero counts add nothing to a row's
+    exact sum of ``table`` entries."""
+    sets, bins = len(columns), size * widest
+    keys = columns + np.arange(0, sets * bins, bins)[:, None]
+    keys += key * widest
+    counts = np.bincount(keys.ravel(), minlength=sets * bins)
     # freed once read, so the next arrays reuse their pages: kept to the return,
     # they took fresh pages every fan (1.5 M page faults at 160 attributes)
     del keys
-    nonzero = np.flatnonzero(counts > 0)  # far cheaper than counts[counts > 0]
-    c = counts.take(nonzero)
-    del counts
-    cf, lg = c.astype(np.float64), log2_table.take(c)
-    n = log2_table.size - 1
-    log2_n = float(log2_table[n])
-    out, s = [], 0
-    for e in nonzero.searchsorted(ends).tolist():
-        # _entropy_from_counts' formula; one block is exactly 0.0
-        out.append(0.0 if e - s <= 1 else log2_n - float(cf[s:e].dot(lg[s:e])) / n)
-        s = e
-    return out
+    return _entropy_of_sums(table.take(counts).reshape(sets, bins).sum(axis=1), table)
 
 
 def _set_entropies(table: DiscreteTable, attrs, width: int):
@@ -183,8 +194,8 @@ def _set_entropies(table: DiscreteTable, attrs, width: int):
     columns = np.ascontiguousarray(table.codes.T[list(attrs)])
     arities = [table.arities[a] for a in attrs]
     n, p = table.n_rows, len(arities)
-    log2_table, budget = _log2_table(n), _KEYS_PER_ROW * n
-    yield np.array([_joint_entropy(columns, arities, (i,), log2_table) for i in range(p)])
+    xlog2x, budget = _xlog2x_table(n), _KEYS_PER_ROW * n
+    yield np.array([_joint_entropy(columns, arities, (i,), xlog2x) for i in range(p)])
     for k in range(2, width + 1):
         out, at = np.empty(math.comb(p, k)), 0
         # the sets of a prefix are the next run of combinations order
@@ -194,20 +205,19 @@ def _set_entropies(table: DiscreteTable, attrs, width: int):
             size = math.prod(arities[i] for i in prefix)
             for z in range(first, p):
                 if size * arities[z] > budget:
-                    fan[z - first] = _joint_entropy(columns, arities, (*prefix, z), log2_table)
+                    fan[z - first] = _joint_entropy(columns, arities, (*prefix, z), xlog2x)
             if size <= budget:  # else every set of the prefix is counted alone
                 key, _ = _joint_key(columns, arities, prefix, budget)
                 for start, stop in _fan_runs(arities, first, size, n):
-                    radix = np.array(arities[start:stop], dtype=np.int64)
                     fan[start - first:stop - first] = _fan_entropies(
-                        columns, key, size, radix, start, log2_table)
+                        columns[start:stop], key, size, max(arities[start:stop]), xlog2x)
         yield out
 
 
 def _entropies(table: DiscreteTable):
     """H of a canonical attribute tuple of ``table`` by the per-set kernel, looked up per call."""
-    columns, log2_table = np.ascontiguousarray(table.codes.T), _log2_table(table.n_rows)
-    return lambda attrs: _joint_entropy(columns, table.arities, attrs, log2_table)
+    columns, xlog2x = np.ascontiguousarray(table.codes.T), _xlog2x_table(table.n_rows)
+    return lambda attrs: _joint_entropy(columns, table.arities, attrs, xlog2x)
 
 
 def _union(a, b) -> tuple[int, ...]:

@@ -92,23 +92,41 @@ def load_csv(
     delimiter: str = ",",
     missing_markers=DEFAULT_MISSING,
     header: bool = True,
+    kinds: dict[str, str] | None = None,
 ) -> RawTable:
     """Read a UTF-8 CSV file (a byte-order mark is dropped) into typed columns.
 
     A column is numeric iff every non-missing cell parses as a real
-    number; otherwise it is categorical. Missing markers (defaults: empty
+    number; otherwise it is categorical. ``kinds`` maps column names to
+    ``"numeric"`` or ``"categorical"`` and types those columns as told,
+    as ``code_csv`` types a file's columns by its model: a column told
+    numeric with a present cell that is not a number raises ParseError
+    naming the first such cell. Missing markers (defaults: empty
     cell and "?") become NaN / None. In a numeric column the non-finite
     numbers (``inf``, ``-inf``, ``nan``, or a value too large for a float)
     count as missing too, so they are imputed with the training mean; in
     a categorical column they are ordinary symbols. Header names must be
     distinct: a repeated name raises ParseError, as does a blank first
     line (no column names), a file that is not UTF-8 or one ``csv``
-    refuses (a field past its size limit).
+    refuses (a field past its size limit). A name in ``kinds`` that the
+    file lacks raises SchemaError.
     """
+    kinds = kinds or {}
+    if set(kinds.values()) - {NUMERIC, CATEGORICAL}:
+        raise ValueError(f"a column kind is {NUMERIC!r} or {CATEGORICAL!r}")
     names, data, fields = _read_rows(path, delimiter, header)
+    absent = [name for name in kinds if name not in names]
+    if absent:
+        raise SchemaError(f"{path}: no column {absent[0]!r}")
     missing, as_nan = _missing(missing_markers)
-    return RawTable([_typed_column(name, cells, missing, as_nan)
-                     for name, cells in zip(names, _strided(data, fields, len(names)))])
+    columns = []
+    for name, cells in zip(names, _strided(data, fields, len(names))):
+        column = _typed_column(name, cells, missing, as_nan, kinds.get(name))
+        if column is None:
+            row, cell = _first_non_number(cells, missing)
+            raise ParseError(_not_numeric(name, cell, row + (2 if header else 1)))
+        columns.append(column)
+    return RawTable(columns)
 
 
 def code_csv(
@@ -305,15 +323,20 @@ def _numbers(cells: list[str], missing: set, as_nan: dict | None) -> np.ndarray 
     return values
 
 
-def _typed_column(name: str, cells: list[str], missing: set, as_nan: dict | None) -> RawColumn:
-    """A column of raw cells, typed as a column of its stripped cells:
-    numeric when every present cell is a number, unless every cell is missing."""
+def _typed_column(name: str, cells: list[str], missing: set, as_nan: dict | None,
+                  kind: str | None = None) -> RawColumn | None:
+    """A column of raw cells, typed as a column of its stripped cells: as
+    ``kind`` says, or else numeric when every present cell is a number,
+    unless every cell is missing. None when told numeric and a present
+    cell is not a number."""
+    if kind == CATEGORICAL:
+        return RawColumn(name, CATEGORICAL, _symbols(list(map(str.strip, cells)), missing))
     values = _numbers(cells, missing, as_nan)
-    if values is None or np.isnan(values).all():
+    if kind is None and (values is None or np.isnan(values).all()):
         cells = list(map(str.strip, cells))
         if values is None or all(c in missing for c in cells):
             return RawColumn(name, CATEGORICAL, _symbols(cells, missing))
-    return RawColumn(name, NUMERIC, values)
+    return None if values is None else RawColumn(name, NUMERIC, values)
 
 
 def _number_coder(cm: ColumnModel, missing: set, as_nan: dict | None):
@@ -356,12 +379,20 @@ def _bad_cell(model: PreprocessModel, data: list, fields, missing: set) -> Schem
         flat = fields(data[start:start + _BLOCK_LINES])
         for j, found in first.items():
             if found is None:
-                cells = map(str.strip, flat[j::n_cols])
-                first[j] = next(((start + i, c) for i, c in enumerate(cells)
-                                 if c not in missing and not _is_number(c)), None)
+                found = _first_non_number(flat[j::n_cols], missing)
+                first[j] = found and (start + found[0], found[1])
     j, (row, cell) = next((j, found) for j, found in first.items() if found is not None)
-    return SchemaError(f"column {model.columns[j].name!r}: expected numeric values, "
-                       f"got {cell!r} in row {row + 2}")
+    return SchemaError(_not_numeric(model.columns[j].name, cell, row + 2))
+
+
+def _first_non_number(cells: list[str], missing: set) -> tuple[int, str] | None:
+    """(i, stripped cell) of the first cell that is neither missing nor a number."""
+    return next(((i, c) for i, c in enumerate(map(str.strip, cells))
+                 if c not in missing and not _is_number(c)), None)
+
+
+def _not_numeric(name: str, cell: str, row: int) -> str:
+    return f"column {name!r}: expected numeric values, got {cell!r} in row {row}"
 
 
 def _parsed(cells: list[str], as_nan: dict | None) -> np.ndarray | None:

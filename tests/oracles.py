@@ -2,8 +2,10 @@
 
 Everything here works over explicit contingency tables built with plain
 dictionaries and math.log2, sharing no code path with the package. The
-sort-path entropy is the exception: a chain of np.unique sorts and
-np.log2 of each count, the bit-for-bit reference of the counting kernel.
+sort-path entropy is the exception: it counts the blocks with a chain of
+np.unique sorts and sums the entropy's definition, c log2(c) 2^k rounded
+to an integer per count, as Python ints, the bit-for-bit reference of
+the counting kernel.
 So are the ``*_by`` measures: the subset-score formulas and the cap
 fallback written as scalar loops over any entropy function, in the
 package's operation order, the bit-for-bit reference of its score arrays.
@@ -38,9 +40,11 @@ def entropy_of(table, attrs):
 
 
 def sort_path_entropy(table, attrs):
-    """H(attrs) from np.unique's block counts, in lexicographic tuple
-    order, and np.log2 of each count. Every column and every partial key
-    is renumbered by a sort, so no key overflows."""
+    """H(attrs) from np.unique's block counts: log2(N) - S 2^-k / N, S
+    the Python-int sum of rint(c log2(c) 2^k) over the counts c, k the
+    most fractional bits that keep the sum below 2^62 for any counts of
+    N rows; 0.0 for one block. Every column and every partial key is
+    renumbered by a sort, so no key overflows."""
     key = np.zeros(table.n_rows, dtype=np.int64)
     for a in attrs:
         values, column = np.unique(table.codes[:, a], return_inverse=True)
@@ -48,8 +52,11 @@ def sort_path_entropy(table, attrs):
     _, counts = np.unique(key, return_counts=True)
     if counts.size == 1:
         return 0.0
+    n = table.n_rows
+    k = 61 - math.ceil(math.log2(max(n * math.log2(n), 1.0)))
     c = counts.astype(np.float64)
-    return float(np.log2(table.n_rows) - np.dot(c, np.log2(c)) / table.n_rows)
+    total = sum(int(t) for t in np.rint(c * np.log2(c) * 2.0 ** k))
+    return math.log2(n) - float(total) * 2.0 ** -k / n
 
 
 def conditional_entropy_of(table, target, given):
@@ -258,7 +265,7 @@ def csv_columns_of(path, delimiter=",", missing_markers=("", "?"), header=True, 
             i, cell = next((i, c) for i, c in enumerate(cells)
                            if c not in missing and not is_number(c))
             raise ValueError(f"column {names[j]!r}: expected numeric values, "
-                             f"got {cell!r} in row {i + 2}")
+                             f"got {cell!r} in row {i + (2 if header else 1)}")
         if (present and numbers) if kinds is None else kinds[j] == "numeric":
             values = np.array([math.nan if c in missing else float(c) for c in cells])
             values[~np.isfinite(values)] = math.nan

@@ -224,6 +224,28 @@ class TestPersistence:
         loaded = load_csv(tmp_path / "rt" / "train.csv")
         assert np.array_equal(loaded.column("x").values, split.train.column("x").values)
 
+    def test_a_numeric_looking_categorical_column_keeps_its_kind(self, tmp_path):
+        raw = make_raw(n_majority=40, n_minority=10)
+        digits = np.array([str(i % 3 + 1) for i in range(raw.n_rows)], dtype=object)
+        raw = RawTable([*raw.columns, RawColumn("code", CATEGORICAL, digits)])
+        split = generate_setting1(raw, "class", 0.5, seed=11)
+        provenance = dict(split.provenance)
+        split.save(tmp_path / "out")
+        assert split.provenance == provenance
+        saved = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        kinds = saved.pop("column_kinds")
+        assert saved == provenance
+        assert kinds == {"x": NUMERIC, "y": NUMERIC, "z": NUMERIC, "code": CATEGORICAL}
+        # by its cells alone, the column reads back numeric
+        assert load_csv(tmp_path / "out" / "train.csv").column("code").kind == NUMERIC
+        for name, table in (("train.csv", split.train), ("test.csv", split.test)):
+            loaded = load_csv(tmp_path / "out" / name, kinds=kinds)
+            assert [(c.name, c.kind) for c in loaded.columns] == [
+                (c.name, c.kind) for c in table.columns]
+            assert loaded.column("code").values.tolist() == table.column("code").values.tolist()
+            for c in "xyz":
+                assert np.array_equal(loaded.column(c).values, table.column(c).values)
+
     @staticmethod
     def saved_and_read_back(tmp_path, table):
         BenchmarkSplit(table, table, np.zeros(table.n_rows, dtype=np.int64), {}).save(tmp_path)

@@ -271,6 +271,47 @@ class TestOnePassTyping:
         assert raw.names == names
         assert_columns_equal(raw, want)
 
+    @settings(max_examples=200)
+    @given(csv_files(), st.data())
+    def test_columns_told_their_kind_read_as_the_reference_types_them(self, case, data):
+        text, delimiter, markers, header = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            kwargs = {"delimiter": delimiter, "missing_markers": markers, "header": header}
+            try:
+                names, inferred = oracles.csv_columns_of(path, **kwargs)
+            except ValueError as exc:
+                with pytest.raises(ParseError) as got:
+                    load_csv(path, **kwargs, kinds={})
+                assert str(got.value) == str(exc)
+                return
+            told = data.draw(st.lists(st.sampled_from([None, NUMERIC, CATEGORICAL]),
+                                      min_size=len(names), max_size=len(names)))
+            kinds = [kind or inferred_kind for kind, (inferred_kind, _) in zip(told, inferred)]
+            told = {name: kind for name, kind in zip(names, told) if kind}
+            try:
+                _, want = oracles.csv_columns_of(path, **kwargs, kinds=kinds)
+            except ValueError as exc:
+                with pytest.raises(ParseError) as got:
+                    load_csv(path, **kwargs, kinds=told)
+                assert str(got.value) == str(exc)
+                return
+            raw = load_csv(path, **kwargs, kinds=told)
+        assert raw.names == names
+        assert_columns_equal(raw, want)
+
+    def test_kinds_must_name_columns_of_the_file_and_be_known(self, tmp_path):
+        path = write(tmp_path, "x,y\n1,a\n")
+        with pytest.raises(SchemaError, match="no column 'z'"):
+            load_csv(path, kinds={"x": NUMERIC, "z": CATEGORICAL})
+        with pytest.raises(ValueError, match="a column kind is"):
+            load_csv(path, kinds={"x": "number"})
+        with pytest.raises(ParseError, match="'y': expected numeric values, got 'a' in row 2"):
+            load_csv(path, kinds={"y": NUMERIC})
+        with pytest.raises(ParseError, match="'c1': expected numeric values, got 'y' in row 1"):
+            load_csv(path, header=False, kinds={"c1": NUMERIC})
+
     def test_all_missing_column_stays_categorical(self, tmp_path):
         raw = load_csv(write(tmp_path, "x,y\n?,1\n,2\n"))
         assert raw.column("x").kind == CATEGORICAL

@@ -6,7 +6,9 @@
 Separate processes on a shared machine drift by about 20 %; timing both
 checkouts call by call in one process cancels most of that. The tables
 come from this checkout's ``perfbench/workloads.py`` (never changed),
-under a temporary directory. Each side's ``aag`` is imported once from
+under a temporary directory: the benchmark's workloads, then one
+``scale-80`` and one ``scale-160`` table, its generator's ``wide-search``
+rows with 20 and 40 planted groups. Each side's ``aag`` is imported once from
 ``DIR/src``, ``sys.modules`` purged in between, with one BLAS thread.
 
 On every table each side runs ``aag subspaces``, ``train`` and ``score``
@@ -56,6 +58,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import tempfile  # noqa: E402
 import traceback  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter, perf_counter_ns  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
@@ -65,6 +68,11 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
+# wide-search's tables with 2x and 4x its attributes, where the search's
+# O(p^3 N) entropy counting takes most of the time
+SCALE = [replace(workloads.WORKLOADS["wide-search"], name=f"scale-{4 * groups}",
+                 groups=groups, instances=1) for groups in (20, 40)]
+TABLES = {**workloads.WORKLOADS, **{w.name: w for w in SCALE}}
 ROUNDS = 5
 SAMPLE = 2_000  # one-row classify rows per workload, shared out over its tables
 OUTPUTS = ("subspaces.json", "model.json", "scores.csv")
@@ -278,8 +286,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="checkout to compare against")
     parser.add_argument("--change", required=True, type=Path, help="checkout with the change")
     parser.add_argument("--seed", type=int, default=0, help="perfbench table seed")
-    parser.add_argument("--workload", choices=[*workloads.WORKLOADS, "all"], default="all",
-                        help="the one workload to run (default: all)")
+    parser.add_argument("--workload", choices=[*TABLES, "all"], default="all",
+                        help="the one workload to run (default: all, the scale tables too)")
     parser.add_argument("--output", required=True, type=Path,
                         help="JSON report to write, e.g. BENCH_<label>.json")
     args = parser.parse_args(argv)
@@ -292,7 +300,7 @@ def main(argv=None) -> int:
     gc.callbacks.append(clock)
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            for name, workload in workloads.WORKLOADS.items():
+            for name, workload in TABLES.items():
                 if args.workload not in ("all", name):
                     continue
                 result = run_workload(aags, workload, args.seed, Path(tmp), clock, report)
