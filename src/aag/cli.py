@@ -143,11 +143,9 @@ def _train_model(raw, args) -> EnsembleModel:
     pp = _timed("preprocess", fit_preprocessor, raw, bins=args.bins)
     coded = apply_preprocessor(pp, raw)
     fit_idx, _ = split_indices(coded.n_rows, args.val_fraction, args.seed)
+    # levels 1 and 2 always unify, so the search keeps at least its first seed
     result = _discover(coded.take_rows(np.sort(fit_idx)), args)
-    subspaces = result.attr_sets()
-    if not subspaces:
-        subspaces = [tuple(range(coded.n_attrs))]
-    return _timed("ensemble-fit", fit_ensemble, coded, subspaces, alpha=args.alpha,
+    return _timed("ensemble-fit", fit_ensemble, coded, result.attr_sets(), alpha=args.alpha,
                   val_fraction=args.val_fraction, seed=args.seed, preprocess=pp)
 
 

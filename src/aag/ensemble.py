@@ -582,8 +582,12 @@ def _put_back(doc, arrays: list[np.ndarray]) -> bool:
     return found == len(arrays)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleModel:
+    """A fitted ensemble. Its fields cannot be assigned, and ``weights`` is
+    a read-only float64 copy of the weights it was given, so the layout
+    built on the first score stays the model's."""
+
     detectors: list[SubspaceDetector]
     weights: np.ndarray
     rho: float
@@ -596,10 +600,13 @@ class EnsembleModel:
         if np.shape(self.weights) != (len(self.detectors),):
             raise ValueError(f"weights of shape {np.shape(self.weights)} "
                              f"for {len(self.detectors)} detectors")
+        weights = np.array(self.weights, dtype=np.float64)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)  # the dataclass is frozen
 
     @cached_property
     def _layout(self) -> _Layout:
-        """Built on the first score and kept; detectors and weights must not change after."""
+        """Built on the first score and kept; the detectors list must not change after."""
         return _Layout.of(self.detectors, self.weights)
 
     def score(self, row) -> float:

@@ -6,6 +6,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -97,20 +98,26 @@ def _write_raw_csv(table: RawTable, path) -> None:
         csv.writer(fh, lineterminator=terminator).writerows(rows)
 
 
-def _majority_value(column: RawColumn):
-    if column.kind == NUMERIC:
-        counts = Counter(v for v in column.values if not np.isnan(v))
-    else:
-        counts = Counter(v for v in column.values if v is not None)
+def _majority_mask(column: RawColumn) -> tuple[object, np.ndarray]:
+    """The column's most frequent present value (first occurrence wins
+    ties) and the mask of its rows. A value is present unless it is None
+    or NaN."""
+    counts = Counter(v for v in column.values if v is not None and v == v)
     if not counts:
         raise GenerationError("class column has no usable values")
-    return max(counts, key=counts.__getitem__)  # first occurrence wins ties
+    majority = max(counts, key=counts.__getitem__)
+    return majority, column.values == majority
 
 
-def _class_mask(column: RawColumn, value) -> np.ndarray:
-    if column.kind == NUMERIC:
-        return np.asarray([not np.isnan(v) and v == value for v in column.values])
-    return np.asarray([v == value for v in column.values])
+def _split_majority(rows: np.ndarray, seed) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """The seeded generator, after it shuffled ``rows``, and the shuffled
+    rows cut 70/30 into training and held-out rows."""
+    if rows.size < 10:
+        raise GenerationError(f"majority class has only {rows.size} rows")
+    rng = np.random.default_rng(seed)
+    perm = rows[rng.permutation(rows.size)]
+    n_train = int(round(0.7 * perm.size))
+    return rng, perm[:n_train], perm[n_train:]
 
 
 def _class_of(data: RawTable, class_column) -> RawColumn:
@@ -138,26 +145,18 @@ def generate_setting1(
     """
     if not 0.0 < fraction_perturbed <= 1.0:
         raise GenerationError("fraction_perturbed must be in (0, 1]")
-    class_col = _class_of(data, class_column)
-    majority = _majority_value(class_col)
-    rows = np.flatnonzero(_class_mask(class_col, majority))
-    if rows.size < 10:
-        raise GenerationError(f"majority class has only {rows.size} rows")
+    majority, mask = _majority_mask(_class_of(data, class_column))
+    rows = np.flatnonzero(mask)
+    rng, train_rows, rest = _split_majority(rows, seed)
     features = data.drop_column(class_column)
     numeric_idx = [j for j, c in enumerate(features.columns) if c.kind == NUMERIC]
     if not numeric_idx:
         raise GenerationError("no numeric attributes available to perturb")
 
-    rng = np.random.default_rng(seed)
-    perm = rows[rng.permutation(rows.size)]
-    n_train = int(round(0.7 * perm.size))
-    train_rows = perm[:n_train]
-    rest = perm[n_train:]
+    # at least 10 rows hold out at least 3, so at least one is an anomaly
     n_anom = rest.size // 2
     normal_rows = rest[: rest.size - n_anom]
     anomaly_rows = rest[rest.size - n_anom:]
-    if n_anom == 0:
-        raise GenerationError("not enough rows left for anomalies")
 
     p = features.n_attrs
     k_requested = max(1, int(round(fraction_perturbed * p)))
@@ -216,22 +215,13 @@ def generate_setting3(
     """
     if not 0.0 < minority_fraction <= 1.0:
         raise GenerationError("minority_fraction must be in (0, 1]")
-    class_col = _class_of(data, class_column)
-    majority = _majority_value(class_col)
-    mask = _class_mask(class_col, majority)
-    majority_rows = np.flatnonzero(mask)
+    majority, mask = _majority_mask(_class_of(data, class_column))
     minority_rows = np.flatnonzero(~mask)
     if minority_rows.size == 0:
         raise GenerationError("data has a single class; no novelties available")
-    if majority_rows.size < 10:
-        raise GenerationError(f"majority class has only {majority_rows.size} rows")
+    rng, train_rows, normal_rows = _split_majority(np.flatnonzero(mask), seed)
     features = data.drop_column(class_column)
 
-    rng = np.random.default_rng(seed)
-    perm = majority_rows[rng.permutation(majority_rows.size)]
-    n_train = int(round(0.7 * perm.size))
-    train_rows = perm[:n_train]
-    normal_rows = perm[n_train:]
     n_novel = int(round(minority_fraction * minority_rows.size))
     n_novel = max(1, n_novel)
     novel_rows = np.sort(minority_rows[rng.permutation(minority_rows.size)[:n_novel]])
@@ -298,12 +288,9 @@ def stability_index(runs: list[SubspaceSet]) -> StabilityReport:
             excluded.append(size)
             continue
         total = 0.0
-        count = 0
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                total += jaccard(members[i], members[j])
-                count += 1
-        per_size[size] = total / count
+        for a, b in combinations(members, 2):
+            total += jaccard(a, b)
+        per_size[size] = total / (len(members) * (len(members) - 1) // 2)
     if not per_size:
         raise UndefinedStabilityError("no subspace size group has two members")
     si = sum(per_size.values()) / len(per_size)

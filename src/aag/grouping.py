@@ -135,7 +135,8 @@ def run_aag(
     unified with its closest partner from the frozen level-t snapshot,
     whichever pairing measures closer. Every union passes the pruning
     rule in ``should_unify``. The loop stops when a level has fewer than
-    two subspaces, or when a level prunes away every candidate union.
+    two subspaces, or when a level's seed union is pruned: a level of two
+    subspaces then records an empty next level, a larger one does not.
 
     Measures are compared rounded to 12 decimals, both in every argmin and
     in the grow-vs-merge test, and ties break on the lexicographic order
@@ -156,36 +157,24 @@ def run_aag(
     current: list[Attrs] = [(i,) for i in range(table.n_attrs)]
     t = 1
     levels: list[list[Attrs]] = []
-    recorded: list[Subspace] = []
-    seen: set[Attrs] = set()
     events: list[MergeEvent] = []
-
-    def record_level(members: list[Attrs], level: int) -> None:
-        levels.append(list(members))
-        for attrs in members:
-            if attrs not in seen:
-                seen.add(attrs)
-                recorded.append(Subspace(attrs, level))
 
     def unify(kind: str, a: Attrs, b: Attrs, d: float,
               alt: Attrs | None = None, alt_measure: float | None = None) -> Attrs | None:
         """The union of a and b if the pruning rule keeps it, else None;
         either way the decision is recorded as a ``kind`` event."""
-        nonlocal merged_any
         if not _should_unify(tc, a, b, t):
             events.append(MergeEvent(t, f"{kind}-pruned", a, b, None, d, alt, alt_measure))
             return None
         u = _union(a, b)
-        merged_any = True
         events.append(MergeEvent(t, kind, a, b, u, d, alt, alt_measure))
         return u
 
     while True:
-        record_level(current, t)
+        levels.append(list(current))
         if len(current) < 2:
             break
         frozen = list(current)
-        merged_any = False
 
         # seed the next level with the globally closest pair
         best = min(
@@ -228,13 +217,18 @@ def run_aag(
                         nxt[idx] = u
 
         if current:
-            # pruning emptied the next level before the loop could run
-            if merged_any:
-                nxt.extend(x for x in current if x not in nxt)
-            else:
-                break
+            # the seed was pruned, so the consume loop never ran: once the
+            # next level holds a union it never empties, and the loop runs
+            # until it has consumed the whole level
+            break
         current = nxt
         t += 1
 
-    kept = [s for s in recorded if include_singletons or len(s.attrs) > 1]
+    # T: each subspace at the first level it appears in
+    first_level: dict[Attrs, int] = {}
+    for level, members in enumerate(levels, start=1):
+        for attrs in members:
+            first_level.setdefault(attrs, level)
+    kept = [Subspace(attrs, level) for attrs, level in first_level.items()
+            if include_singletons or len(attrs) > 1]
     return SubspaceSet(subspaces=kept, levels=levels, events=events)

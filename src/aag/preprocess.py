@@ -21,7 +21,9 @@ stands.
 ``code_csv`` reads a file to apply a fitted model to, the same way, but
 codes it straight into the model's codes, 2 048 rows at a time: each
 block's fields are split, parsed as their model column's kind and
-coded, then freed, so it never holds all of the file's fields at once.
+coded, then freed. So a file split at newlines never has all of its
+fields held at once; a file that goes through ``csv.reader`` has all of
+its rows held, as ``csv.reader`` gives them, while it is coded.
 ``apply_preprocessor`` codes typed columns by the same rules.
 """
 
@@ -144,11 +146,12 @@ def code_csv(
     stripped cells are its symbols, and missing ones take the mode. So a
     column's kind never depends on which symbols one file happens to
     hold. The names and every row's width are checked first; then the body
-    is coded ``_BLOCK_LINES`` rows at a time, so neither a list of all
-    the file's fields nor a typed column is made. Raises SchemaError when
-    the columns' number or names differ from the model's, or naming the
-    first cell, in column order and then row order, of a numeric column
-    that is neither missing nor a number.
+    is coded ``_BLOCK_LINES`` rows at a time, so no typed column is made,
+    nor, for a file split at newlines, a list of all the file's fields (a
+    file read by ``csv.reader`` is held as its rows meanwhile). Raises
+    SchemaError when the columns' number or names differ from the model's,
+    or naming the first cell, in column order and then row order, of a
+    numeric column that is neither missing nor a number.
     """
     names, data, fields = _read_rows(path, delimiter, True)
     _check_names(model, names)

@@ -330,12 +330,13 @@ class TestDataFaults:
         ("stability", _csv_lines(260, 1), ["--repeats", 2],
          "grouping needs at least two attributes"),
         ("train", "\n\n", [], "no column names"),
+        ("train", "", [], "empty file"),
         ("bench", _csv_lines(260, 1), ["--class-column", "class", "--setting", 3,
                                        "--repeats", 1], "training table is empty"),
         ("subspaces", _csv_lines(20, 2) + "x" * 140_000 + ",1\n", [],
          "line 22: field larger than field limit"),
     ], ids=["nine-rows", "one-column-train", "one-column-subspaces", "one-column-stability",
-            "blank-header", "only-the-class-column", "overlong-field"])
+            "blank-header", "empty-file", "only-the-class-column", "overlong-field"])
     def test_unusable_input_exits_2_naming_the_cause(self, tmp_path, capsys,
                                                       command, text, extra, cause):
         data = tmp_path / "data.csv"

@@ -158,6 +158,28 @@ class TestFitEnsemble:
         assert model.detectors[0] is empty
         assert model.weights.tolist() == [0.0, 1.0]
 
+    def test_a_fitted_model_cannot_be_edited(self):
+        t = random_table(np.random.default_rng(56), n_rows=60, n_attrs=4)
+        model = fit_ensemble(t, [(0, 1), (2,), (1, 3)], alpha=0.1, seed=9)
+        row = t.codes[0]
+        score = classify(model, row)[0]  # builds the row layout
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights[0] = 0.9
+        for name, value in (("weights", np.ones(3)), ("rho", 0.0), ("detectors", [])):
+            with pytest.raises(AttributeError):
+                setattr(model, name, value)
+        assert classify(model, row)[0] == score == classify_table(model, t)[0][0]
+
+    def test_weights_are_a_read_only_float64_copy(self):
+        det = SubspaceDetector((0,), {(0,): 1.0}, {(0,)}, 0.05, 1)
+        given_weights = np.array([1], dtype=np.int64)
+        model = EnsembleModel([det], given_weights, rho=0.5, alpha=0.05)
+        assert model.weights.dtype == np.float64 and not model.weights.flags.writeable
+        assert given_weights.flags.writeable
+        given_weights[0] = 0
+        assert model.weights.tolist() == [1.0]
+        assert replace(model, rho=0.25).weights.tolist() == [1.0]
+
     def test_a_model_without_detectors_is_refused(self):
         with pytest.raises(ValueError, match="at least one detector"):
             EnsembleModel([], np.array([]), rho=0.5, alpha=0.05)
@@ -230,6 +252,11 @@ class TestSplitIndices:
         assert set(fit_a) | set(val_a) == set(range(50))
         assert not set(fit_a) & set(val_a)
         assert len(val_a) == 15
+
+    @pytest.mark.parametrize("val_fraction", [0.0, 1.0, -0.3, 1.3])
+    def test_a_fraction_outside_zero_one_is_refused(self, val_fraction):
+        with pytest.raises(ValueError, match=r"val_fraction must be in \(0, 1\)"):
+            split_indices(50, val_fraction, seed=7)
 
 
 class TestEnsembleSerialization:
@@ -1269,6 +1296,17 @@ class TestModelReader:
     @example(text=PINNED_COUNT.replace('"counts":[6,4,3]', '"counts":[06,4,3]'))
     @example(text=PINNED_COUNT.replace('"counts":[6,4,3]', '"counts":[6,4,3],"cells":"\\u00000"'))
     def test_a_text_reads_as_json_then_from_json_dict_read_it(self, text):
+        assert outcome(EnsembleModel.from_json, text) == outcome(read_as_json_does, text)
+
+    @pytest.mark.parametrize("text", [
+        '[{"cells":[1,2],"counts":[3]}]\n',
+        '{"alpha":0.1,"detectors":{"cells":[1,2]},"rho":0.5,"weights":[1.0]}\n',
+        '{"alpha":0.1,"detectors":[[{"attrs":[0],"cells":[1,2],"counts":[3,1],"accepted":1}]],'
+        '"rho":0.5,"weights":[1.0]}\n',
+        '{"alpha":0.1,"detectors":[7,{"attrs":[0],"cells":[1,2],"counts":[3,1],"accepted":1}],'
+        '"rho":0.5,"weights":[0.5,0.5]}\n',
+    ], ids=["top-level-list", "detectors-an-object", "entry-a-list", "entry-a-number"])
+    def test_cells_outside_the_detector_list_read_as_json_then_from_json_dict(self, text):
         assert outcome(EnsembleModel.from_json, text) == outcome(read_as_json_does, text)
 
     @settings(max_examples=200)

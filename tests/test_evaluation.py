@@ -125,6 +125,14 @@ class TestSetting1:
         with pytest.raises(GenerationError):
             generate_setting1(raw, "class", 0.5, seed=0)
 
+    @pytest.mark.parametrize("n_majority", range(10, 31))
+    def test_ten_or_more_majority_rows_hold_out_at_least_one_anomaly(self, n_majority):
+        raw = make_raw(n_majority=n_majority, n_minority=3)
+        for seed in range(3):
+            split = generate_setting1(raw, "class", 0.5, seed=seed)
+            assert split.test_labels.sum() >= 1
+            assert split.provenance["n_test_anomaly"] == (n_majority - split.train.n_rows) // 2
+
 
 class TestSetting3:
     def test_quoted_arithmetic(self):
@@ -151,6 +159,74 @@ class TestSetting3:
         raw = make_raw(n_majority=40, n_minority=0)
         with pytest.raises(GenerationError):
             generate_setting3(raw, "class", 0.1, seed=0)
+
+    def test_tiny_majority_is_an_error(self):
+        raw = make_raw(n_majority=6, n_minority=2)
+        with pytest.raises(GenerationError, match="majority class has only 6 rows"):
+            generate_setting3(raw, "class", 0.5, seed=0)
+
+
+def with_class(raw, kind, values):
+    """``raw`` with its class column replaced by ``values`` of ``kind``."""
+    dtype = np.float64 if kind == NUMERIC else object
+    return RawTable([*raw.columns[:-1], RawColumn("class", kind, np.array(values, dtype=dtype))])
+
+
+# 12 rows of the majority value, 20 missing, 5 of another value, 3 of a third
+NUMERIC_CLASS = [1.0] * 12 + [np.nan] * 20 + [2.0] * 5 + [-0.0] * 3
+CATEGORICAL_CLASS = ["a"] * 12 + [None] * 20 + ["b"] * 5 + ["c"] * 3
+
+
+class TestNumericClassColumn:
+    """A numeric class column splits as the categorical one with the same
+    classes does: NaN is missing, however many rows hold it."""
+
+    @pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)])
+    @pytest.mark.parametrize("generate", [generate_setting1, generate_setting3])
+    def test_splits_as_the_categorical_column_of_the_same_classes(self, generate, order):
+        raw = make_raw(n_majority=40, n_minority=0, seed=3)
+        numeric = with_class(raw, NUMERIC, NUMERIC_CLASS[order])
+        categorical = with_class(raw, CATEGORICAL, CATEGORICAL_CLASS[order])
+        for seed in range(4):
+            a = generate(numeric, "class", 0.5, seed=seed)
+            b = generate(categorical, "class", 0.5, seed=seed)
+            assert a.provenance["majority_class"] == "1.0"
+            assert b.provenance["majority_class"] == "a"
+            assert a.provenance | {"majority_class": "a"} == b.provenance
+            for got, want in ((a.train, b.train), (a.test, b.test)):
+                assert [c.values.tobytes() for c in got.columns] == \
+                    [c.values.tobytes() for c in want.columns]
+            assert a.test_labels.tolist() == b.test_labels.tolist()
+
+    def test_train_rows_are_the_majority_value_rows(self):
+        raw = make_raw(n_majority=40, n_minority=0, seed=3)
+        split = generate_setting3(with_class(raw, NUMERIC, NUMERIC_CLASS), "class", 1.0, seed=0)
+        normal = split.test.column("x").values[split.test_labels == 0]
+        got = [*split.train.column("x").values, *normal]
+        assert sorted(got) == sorted(raw.column("x").values[:12])
+        # the novelties are every row not of the majority value, missing ones too
+        assert split.test_labels.sum() == 28
+
+    @pytest.mark.parametrize("kind, values", [(NUMERIC, [np.nan] * 12),
+                                              (CATEGORICAL, [None] * 12)])
+    @pytest.mark.parametrize("generate", [generate_setting1, generate_setting3])
+    def test_a_class_column_of_missing_values_is_an_error(self, generate, kind, values):
+        raw = with_class(make_raw(n_majority=12, n_minority=0), kind, values)
+        with pytest.raises(GenerationError, match="no usable values"):
+            generate(raw, "class", 0.5, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_settings_one_and_three_train_on_the_same_majority_rows(seed):
+    raw = make_raw(n_majority=37, n_minority=11, seed=seed)
+    one = generate_setting1(raw, "class", 0.5, seed=seed)
+    three = generate_setting3(raw, "class", 0.5, seed=seed)
+    assert [c.values.tobytes() for c in one.train.columns] == \
+        [c.values.tobytes() for c in three.train.columns]
+    # setting 1's clean test rows are the first of setting 3's held-out rows
+    normal = one.provenance["n_test_normal"]
+    assert [c.values[:normal].tobytes() for c in one.test.columns] == \
+        [c.values[:normal].tobytes() for c in three.test.columns]
 
 
 class TestClassColumn:

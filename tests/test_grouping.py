@@ -4,10 +4,12 @@ import pytest
 import aag.grouping as grouping
 from aag.grouping import PairCache, SubspaceSet, jaccard, run_aag, should_unify
 from aag.measures import normalized_measure, total_correlation
+from aag.preprocess import NUMERIC, RawColumn, RawTable, apply_preprocessor, fit_preprocessor
 from aag.table import DiscreteTable, table_from_rows
 
 import oracles
 from conftest import random_table, table_from_columns
+from synth import grouped_columns
 
 
 class TestJaccard:
@@ -165,6 +167,23 @@ def exact_tie_table(seed):
                                 for r in rng.integers(1, 4, size=n_attrs)))
 
 
+def small_table(seed):
+    """4 to 7 attributes of arity 1 to 4 on 8 to 29 rows. Over seeds 0-59 the
+    search ends on each rule: too few subspaces, a pruned seed on a level
+    of two subspaces (an empty level follows) and on a larger one."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_attrs = int(rng.integers(8, 30)), int(rng.integers(4, 8))
+    return table_from_columns(*(rng.integers(0, r, size=n_rows)
+                                for r in rng.integers(1, 5, size=n_attrs)))
+
+
+def binned_grouped_table(n_rows, group_sizes, noise, seed, bins):
+    """``synth.grouped_columns`` coded by a preprocessor fitted at ``bins``."""
+    columns = grouped_columns(n_rows, group_sizes, noise=noise, seed=seed)
+    raw = RawTable([RawColumn(f"a{i}", NUMERIC, c) for i, c in enumerate(columns)])
+    return apply_preprocessor(fit_preprocessor(raw, bins=bins), raw)
+
+
 class TestRunAag:
     def test_run_leaves_the_table_as_constructed(self):
         t = random_table(np.random.default_rng(31), n_rows=30, n_attrs=4)
@@ -270,6 +289,48 @@ class TestRunAag:
         for e in result.events:
             assert e.measure == normalized_measure(t, e.left, e.right)
         assert any(e.measure != round(e.measure, 12) for e in result.events)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_every_ending_matches_the_replay(self, cap):
+        endings = set()
+        for seed in range(60):
+            t = small_table(seed)
+            result = run_aag(t, cap=cap)
+            want_sets, want_levels = replay_reference(t, cap)
+            assert result.attr_sets() == want_sets
+            assert result.levels == want_levels
+            # each subspace is kept at the first level it appears in
+            for s in run_aag(t, cap=cap, include_singletons=True).subspaces:
+                assert s.attrs in want_levels[s.level - 1]
+                assert all(s.attrs not in level for level in want_levels[:s.level - 1])
+            last = result.events[-1]
+            endings.add((last.kind == "seed-pruned", len(result.levels[-1])))
+        if cap == 2:
+            assert {(True, 0), (False, 1)} <= endings
+            assert any(pruned and size >= 3 for pruned, size in endings)
+
+    def test_a_pruned_seed_on_a_level_of_two_records_an_empty_level(self):
+        t = binned_grouped_table(200, (3, 3), noise=0.35, seed=2, bins=5)
+        result = run_aag(t)
+        assert [len(level) for level in result.levels] == [6, 3, 2, 0]
+        assert result.events[-1].kind == "seed-pruned"
+        assert result.events[-1].level == 3
+        want_sets, want_levels = replay_reference(t)
+        assert result.attr_sets() == want_sets
+        assert result.levels == want_levels
+
+    def test_a_search_over_two_or_more_attributes_keeps_a_union(self):
+        # levels 1 and 2 always unify, so the first seed is never pruned
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n_rows, n_attrs = int(rng.integers(1, 20)), int(rng.integers(2, 7))
+            t = table_from_columns(*(rng.integers(0, r, size=n_rows)
+                                     for r in rng.integers(1, 4, size=n_attrs)))
+            for cap in (2, 3):
+                result = run_aag(t, cap=cap)
+                assert result.events[0].kind == "seed"
+                assert result.attr_sets()
+                assert min(map(len, result.attr_sets())) >= 2
 
     def test_rejects_single_attribute_table(self):
         t = table_from_rows([[0], [1]])

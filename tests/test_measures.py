@@ -295,6 +295,16 @@ class TestNormalizedMeasure:
         t = table_from_rows([[0, 0], [0, 0], [0, 0]])
         assert normalized_measure(t, [0], [1]) == 0.0
 
+    @pytest.mark.parametrize("a, b", [([0], [0]), ([1], [1, 1])])
+    def test_a_union_of_one_attribute_is_refused(self, seven_attr_table, a, b):
+        with pytest.raises(ValueError, match="at least two attributes"):
+            normalized_measure(seven_attr_table, a, b)
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_cap_outside_two_or_three_is_refused(self, seven_attr_table, cap):
+        with pytest.raises(ValueError, match="cap must be 2 or 3"):
+            normalized_measure(seven_attr_table, [0, 1, 2], [3, 4], cap=cap)
+
 
 class TestTotalCorrelation:
     def test_worked_values(self, quad_table):

@@ -43,6 +43,13 @@ def categorical_table(values, name="c"):
 
 
 class TestLoadCsv:
+    @pytest.mark.parametrize("content", [b"", "".encode("utf-8-sig")], ids=["empty", "bom"])
+    def test_an_empty_file_is_a_parse_error(self, tmp_path, content):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="empty file"):
+            load_csv(path)
+
     def test_numeric_with_missing_marker(self, tmp_path):
         raw = load_csv(write(tmp_path, "x\n1\n2\n?\n"))
         col = raw.column("x")
@@ -508,6 +515,10 @@ class TestFitPreprocessor:
     def test_fully_missing_column_is_rejected_by_name(self):
         with pytest.raises(UnusableColumnError, match="bad"):
             fit_preprocessor(numeric_table([np.nan, np.nan], name="bad"))
+
+    def test_fully_missing_categorical_column_is_rejected_by_name(self):
+        with pytest.raises(UnusableColumnError, match="'bad' has no usable values"):
+            fit_preprocessor(categorical_table([None, None], name="bad"))
 
     def test_rejects_silly_bin_count(self):
         with pytest.raises(ValueError):

@@ -134,7 +134,7 @@ def prepare(aag, inputs, out: Path, k: int, n_tables: int, seed: int) -> SimpleN
     t.coded, t.coded_score = (aag.apply_preprocessor(t.pp, raw) for raw in (t.raw_train, t.raw_score))
     fit_idx, _ = aag.split_indices(t.coded.n_rows, 0.3, 0)  # aag train's defaults
     t.fit_rows = t.coded.take_rows(np.sort(fit_idx))
-    t.subspaces = aag.run_aag(t.fit_rows).attr_sets() or [tuple(range(t.coded.n_attrs))]
+    t.subspaces = aag.run_aag(t.fit_rows).attr_sets()
     t.text = aag.fit_ensemble(t.coded, t.subspaces, preprocess=t.pp).to_json()
     if t.text != Path(model_json).read_text(encoding="utf-8"):
         raise RuntimeError(f"{out}: the library phases do not rebuild aag train's model.json")
